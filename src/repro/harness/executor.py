@@ -15,6 +15,8 @@ points:
   baseline twins ahead of every technique point, so the (baseline,
   technique) pairs that relative metrics need are never blocked behind
   unrelated work and an interrupted sweep leaves the most reusable cache;
+  within each tier, same-stream points run back to back, so a worker
+  builds each workload stream's memo once per tier;
 * **pluggable execution** — the default backend is the local
   :mod:`multiprocessing` pool
   (:class:`~repro.harness.backends.local.LocalBackend`); ``--backend
@@ -27,7 +29,7 @@ points:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from ..sim.config import PAPER_TOTAL_L2_MB, paper_technique_order
 from ..workloads.registry import PAPER_BENCHMARKS
@@ -99,6 +101,12 @@ class ParallelSweepRunner(SweepRunner):
         interleaves the rest.  Deduplication is by cache key, so a point
         with overrides equal to the runner's defaults collapses with its
         override-free twin.
+
+        Within each tier, points are stable-grouped by
+        :meth:`~repro.harness.runner.SweepRunner.stream_key`, in order
+        of first appearance: a worker pulling the plan in order runs
+        same-stream points back to back and builds each stream's memo
+        once per tier.
         """
         points = list(points)
         baselines: List[SweepPoint] = []
@@ -115,7 +123,14 @@ class ParallelSweepRunner(SweepRunner):
             if key not in seen:
                 seen.add(key)
                 rest.append(p)
-        return baselines + rest
+        return self._by_stream(baselines) + self._by_stream(rest)
+
+    def _by_stream(self, points: List[SweepPoint]) -> List[SweepPoint]:
+        """Stable grouping of ``points`` by stream key."""
+        groups: Dict[str, List[SweepPoint]] = {}
+        for p in points:
+            groups.setdefault(self.stream_key(p), []).append(p)
+        return [p for group in groups.values() for p in group]
 
     def plan(
         self,

@@ -23,6 +23,10 @@ interrupted run can never leave a truncated blob behind, and corrupt
 entries are skipped and resimulated instead of crashing every later load.
 Loaded and simulated points are additionally memoized in-process, which is
 what lets the parallel executor hand results straight to figure code.
+The runner also keeps the last workload stream it simulated as a
+:class:`~repro.workloads.trace.ReplayWorkload` (one slot, keyed by
+:meth:`SweepRunner.stream_key`), so consecutive points on one stream
+generate its records once.
 
 The cache key includes a schema version — bump :data:`CACHE_VERSION` when
 simulator semantics change so stale entries are never mixed into figures.
@@ -54,6 +58,7 @@ from ..sim.config import (
 from ..sim.simulator import simulate
 from ..sim.stats import SimResult
 from ..workloads.registry import PAPER_BENCHMARKS, get_workload
+from ..workloads.trace import ReplayWorkload
 from .metrics import PointMetrics
 from .result_cache import ResultCache
 from .spec import ExperimentSpec, SpecError, SweepPoint
@@ -123,7 +128,9 @@ class SweepRunner:
         #: (backends overwrite this on their worker runners)
         self.backend_label = "serial"
         self.worker_id = f"{socket.gethostname()}-{os.getpid()}"
-        self._workloads: Dict[tuple, object] = {}
+        #: ``(stream_key, ReplayWorkload)`` of the last stream simulated:
+        #: one slot, so the runner never holds two streams' columns
+        self._stream_memo: Optional[Tuple[str, ReplayWorkload]] = None
         self._memo: Dict[str, PointResult] = {}
         #: memoized technique table (``point_key`` sits on the cache hot
         #: path; rebuilding 8 TechniqueConfigs per lookup was measurable —
@@ -286,17 +293,47 @@ class SweepRunner:
                 digests[component] = None
         return digests
 
-    def _workload(self, name: str, ctx: Dict[str, Union[int, float]]):
-        key = (name, int(ctx["n_cores"]), float(ctx["scale"]), int(ctx["seed"]))
-        if key not in self._workloads:
-            self._workloads[key] = get_workload(
-                name,
-                n_cores=key[1],
-                scale=key[2],
-                seed=key[3],
+    def stream_key(self, p: SweepPoint) -> str:
+        """Identity of the record streams a point simulates.
+
+        The workload name and the effective core count, scale and seed,
+        plus — exactly as in :meth:`point_key` — each ``trace:``
+        component's content sha256.  Points that differ only in L2
+        capacity, technique or warmup share a stream key, and a trace
+        re-captured at the same path gets a new one.
+        """
+        ctx = self.context_for(p)
+        payload = {
+            "workload": p.workload,
+            "n_cores": int(ctx["n_cores"]),
+            "scale": float(ctx["scale"]),
+            "seed": int(ctx["seed"]),
+        }
+        if "trace:" in p.workload:
+            payload["traces"] = self._trace_digests(p.workload)
+        return stable_digest(json.dumps(payload, sort_keys=True))
+
+    def _workload(self, p: SweepPoint) -> ReplayWorkload:
+        """The point's workload, held in the runner's one stream slot.
+
+        A point with another :meth:`stream_key` drops the held memo
+        before its own workload is built, so a runner never keeps two
+        streams' columns alive.  The columns themselves are built by the
+        first simulation that consumes the replay.
+        """
+        key = self.stream_key(p)
+        if self._stream_memo is None or self._stream_memo[0] != key:
+            self._stream_memo = None
+            ctx = self.context_for(p)
+            source = get_workload(
+                p.workload,
+                n_cores=int(ctx["n_cores"]),
+                scale=float(ctx["scale"]),
+                seed=int(ctx["seed"]),
                 trace_root=self.trace_root,
             )
-        return self._workloads[key]
+            self._stream_memo = (key, ReplayWorkload(source))
+        return self._stream_memo[1]
 
     # ------------------------------------------------------------------
     # Execution
@@ -419,7 +456,7 @@ class SweepRunner:
         cfg = self.config_for(p)
         res = simulate(
             cfg,
-            self._workload(p.workload, ctx),
+            self._workload(p),
             warmup_fraction=float(ctx["warmup"]),
         )
         energy = EnergyModel(cfg).evaluate(res)

@@ -286,6 +286,12 @@ class ResultServer:
                 pass  # connection teardown during server shutdown
 
 
+def _cancel_all_tasks() -> None:
+    """Cancel every task of the running loop (called inside the loop)."""
+    for task in asyncio.all_tasks():
+        task.cancel()
+
+
 class BackgroundServer:
     """A :class:`ResultServer` on a dedicated thread (tests, notebooks).
 
@@ -361,8 +367,12 @@ class BackgroundServer:
         """Cancel the serve loop and join the thread."""
         loop = self._loop
         if loop is not None and loop.is_running():
-            for task in asyncio.all_tasks(loop):
-                loop.call_soon_threadsafe(task.cancel)
+            try:
+                # one callback: the loop may close once its main task
+                # is cancelled, before a second call could be scheduled
+                loop.call_soon_threadsafe(_cancel_all_tasks)
+            except RuntimeError:  # the loop closed after the check
+                pass
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None

@@ -45,6 +45,7 @@ from .trace import (
     ILP_MODERATE,
     ILP_STREAMING,
     Record,
+    ReplayWorkload,
     Workload,
     WorkloadMeta,
     barrier_record,
@@ -92,6 +93,7 @@ __all__ = [
     "ILP_MODERATE",
     "ILP_STREAMING",
     "Record",
+    "ReplayWorkload",
     "Workload",
     "WorkloadMeta",
     "barrier_record",

@@ -13,12 +13,18 @@ A workload is one access stream per core.  Each record is a plain tuple
 Tuples instead of objects keep the generator→core hot path allocation-
 light; the helpers below are for tests and workload authors, not the
 simulator loop.
+
+:class:`ReplayWorkload` memoizes a workload's streams in compact
+``array`` columns, so a sweep that replays one stream under many
+configurations generates it only once.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from itertools import islice
+from typing import Iterator, List, Optional, Tuple
 
 FLAG_WRITE = 0x1
 ILP_SHIFT = 1
@@ -103,6 +109,96 @@ class Workload:
     def streams(self, n_cores: int) -> list:
         """Fresh per-core record iterators."""
         return self._factory(n_cores)
+
+
+#: most records a :class:`ReplayWorkload` stores (16 Mi records ≈ 218 MB
+#: of columns: one 8-core scale-1.0 point, barriers included); a longer
+#: stream is generated afresh on every replay instead
+REPLAY_MAX_RECORDS = 1 << 24
+
+#: column typecodes of one core's memo — gap (``I``, 4 B), address
+#: (``Q``, 8 B), flags (``B``, 1 B): 13 B per record
+_COLUMN_TYPES = ("I", "Q", "B")
+
+Columns = Tuple[array, array, array]
+
+
+def _drain(stream: Iterator[Record], budget: int) -> Optional[Columns]:
+    """Columns of one core's records; ``None`` if they do not fit.
+
+    A stream does not fit when it holds more than ``budget`` records or
+    a value its column cannot store (a gap ≥ 2**32, an address ≥ 2**64,
+    a negative or non-``int`` field).
+    """
+    gaps, addrs, flags = (array(code) for code in _COLUMN_TYPES)
+    add_gap, add_addr, add_flags = gaps.append, addrs.append, flags.append
+    try:
+        for gap, addr, flag in islice(stream, budget + 1):
+            add_gap(gap)
+            add_addr(addr)
+            add_flags(flag)
+    except (OverflowError, TypeError):
+        return None
+    return None if len(gaps) > budget else (gaps, addrs, flags)
+
+
+class ReplayWorkload(Workload):
+    """A one-time memo of another workload's per-core streams.
+
+    The first :meth:`streams` call drains the source's streams, one core
+    at a time, into ``array`` columns (:data:`_COLUMN_TYPES`); every
+    later call returns ``zip`` iterators over those columns, which yield
+    exactly the source's records.  The build runs wherever the first
+    replay is requested (inside ``simulate``).  A build that raises
+    leaves no columns behind; that call hands out a fresh source
+    generator instead, so the caller meets the source's own error in
+    the order it consumes records, and the next call builds again.
+
+    A stream that does not fit (more than :data:`REPLAY_MAX_RECORDS`
+    records, or a value no column can store) is never memoized: that
+    call and every later one stream from a fresh source generator.
+    """
+
+    def __init__(self, source: Workload) -> None:
+        self.meta = source.meta
+        self.source = source
+        self._columns: Optional[List[Columns]] = None
+        self._replayable = True
+
+    @property
+    def built(self) -> bool:
+        """True once the columns hold the source's streams."""
+        return self._columns is not None
+
+    def streams(self, n_cores: int) -> list:
+        """Per-core iterators over the memo (built on the first call)."""
+        if self._columns is None and self._replayable:
+            try:
+                self._columns = self._build(n_cores)
+            except Exception:
+                # the build reads the source core by core; a fresh
+                # generator makes the simulation raise what an
+                # unmemoized run raises, where it raises it
+                return self.source.streams(n_cores)
+            self._replayable = self._columns is not None
+        if self._columns is None or len(self._columns) != n_cores:
+            return self.source.streams(n_cores)
+        return [zip(*columns) for columns in self._columns]
+
+    def _build(self, n_cores: int) -> Optional[List[Columns]]:
+        """Drain every source stream into columns (``None``: no fit)."""
+        live = list(self.source.streams(n_cores))
+        budget = REPLAY_MAX_RECORDS
+        built: List[Columns] = []
+        for core in range(len(live)):
+            # drop each generator (and its history) once drained
+            stream, live[core] = live[core], None
+            columns = _drain(stream, budget)
+            if columns is None:
+                return None
+            budget -= len(columns[0])
+            built.append(columns)
+        return built
 
 
 def validate_stream(records: Iterator[Record], max_records: int = 1_000_000) -> dict:

@@ -1,5 +1,6 @@
 """Parallel sweep executor: planning, equality with the serial runner."""
 
+import itertools
 import os
 
 import pytest
@@ -9,6 +10,12 @@ from repro.harness.executor import (
     resolve_jobs,
 )
 from repro.harness.runner import SweepRunner
+from repro.harness.spec import load_spec
+from repro.scenarios import EnsembleSpec
+
+PAPER_MATRIX = os.path.join(
+    os.path.dirname(__file__), "..", "..", "specs", "paper_matrix.toml"
+)
 
 SCALE = 0.04
 #: 2 workloads x 1 size x 2 techniques (+2 baseline twins) = 6 simulations
@@ -45,6 +52,38 @@ class TestPlanning:
         point = runner.point("uniform", 2, "decay64K")
         plan = runner.plan_points([point])
         assert plan == [point.baseline_twin(), point]
+
+    def test_paper_matrix_plan_groups_streams_within_tiers(self):
+        runner = ParallelSweepRunner(scale=SCALE, cache_dir=None, jobs=1)
+        points = runner.expand_spec(load_spec(PAPER_MATRIX))
+        plan = runner.plan_points(points)
+        assert sorted(map(runner.point_key, plan)) == sorted(
+            map(runner.point_key, points)
+        )
+        n_base = 6 * 4  # workloads x sizes
+        tiers = plan[:n_base], plan[n_base:]
+        assert all(p.tech_label == "baseline" for p in tiers[0])
+        assert all(p.tech_label != "baseline" for p in tiers[1])
+        builds = 0
+        for tier in tiers:
+            runs = [k for k, _ in itertools.groupby(map(runner.stream_key, tier))]
+            assert len(runs) == len(set(runs)) == 6
+            builds += len(runs)
+        # a worker pulling the plan in order builds at most 12 streams
+        assert builds == 12
+
+    def test_plan_keeps_ensemble_replica_order(self):
+        """Replicas never interleave: each tier is replica 0's, then 1's..."""
+        runner = ParallelSweepRunner(scale=SCALE, cache_dir=None, jobs=1)
+        replicas = EnsembleSpec(spec=load_spec(PAPER_MATRIX), replicas=3).expand(
+            scale=SCALE
+        )
+        plan = runner.plan_points([p for replica in replicas for p in replica])
+        alone = [runner.plan_points(replica) for replica in replicas]
+        n_base = 6 * 4
+        assert plan == [p for one in alone for p in one[:n_base]] + [
+            p for one in alone for p in one[n_base:]
+        ]
 
     def test_resolve_jobs(self):
         assert resolve_jobs(3) == 3

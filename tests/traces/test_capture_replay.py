@@ -131,6 +131,26 @@ class TestCacheKeys:
         )
         assert runner.point_key(point) != key_before
 
+    def test_recaptured_trace_replays_the_new_capture(self, tmp_path):
+        """A runner that replayed a trace must not keep the old capture.
+
+        It used to cache the built workload by (name, cores, scale,
+        seed), so after a re-capture at the same path it simulated the
+        new key with the old header and frames.
+        """
+        path = str(tmp_path / "t.rtr")
+        capture_workload(
+            "uniform", path, n_cores=N_CORES, scale=SCALE, seed=SEED, limit=2000
+        )
+        runner = make_runner(tmp_path / "same")
+        point = runner.point(f"trace:{path}", 1, "baseline")
+        runner.run_point(point)
+        capture_workload(
+            "uniform", path, n_cores=N_CORES, scale=SCALE, seed=SEED, limit=1500
+        )
+        fresh = make_runner(tmp_path / "fresh")
+        assert blob_digest(runner, point) == blob_digest(fresh, point)
+
     def test_relative_and_rooted_names_share_a_key_digest(self, capture, tmp_path):
         """Host-portability: the digest hashes content, never paths."""
         root = os.path.dirname(capture)
