@@ -1,7 +1,6 @@
 """Pluggable sweep-execution backends (see ``docs/architecture.md``)."""
 
 from .base import (
-    PointSpec,
     SweepBackend,
     backend_names,
     make_backend,
@@ -23,7 +22,6 @@ from .local import LocalBackend, resolve_jobs
 from .socket_ws import SocketWorkStealingBackend, worker_main
 
 __all__ = [
-    "PointSpec",
     "SweepBackend",
     "backend_names",
     "make_backend",

@@ -47,11 +47,6 @@ from ..spec import SweepPoint
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..runner import SweepRunner
 
-#: deprecated alias — one matrix point used to be a ``(workload,
-#: total MB, technique label)`` tuple; backends now receive typed
-#: :class:`~repro.harness.spec.SweepPoint` tasks
-PointSpec = SweepPoint
-
 
 class SweepBackend(Protocol):
     """Executes a planned task list against a sweep runner.

@@ -295,7 +295,7 @@ class BatchQueueBackend:
     what the tests diff against the serial runner.  A spawned worker
     that dies is not fatal as long as the survivors finish its points
     via lease reclaim.  With ``spawn_workers = 0`` it polls
-    ``results/`` with exponential backoff (from ``poll_interval``),
+    ``results/`` with exponential backoff (1 s doubling to 8 s),
     ingesting whatever synced-in shards appeared, until the matrix is
     complete or ``timeout`` elapses — and the timeout error names the
     outstanding points and who leases them.  After :meth:`execute`,
@@ -310,14 +310,12 @@ class BatchQueueBackend:
         self,
         queue_dir: str = ".repro_queue",
         spawn_workers: int = 2,
-        poll_interval: float = 1.0,
         timeout: Optional[float] = None,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
         fault_plan: PlanLike = None,
     ) -> None:
         self.queue_dir = queue_dir
         self.spawn_workers = spawn_workers
-        self.poll_interval = poll_interval
         self.timeout = timeout
         self.lease_timeout = float(lease_timeout)
         self.fault_plan = coerce_plan(fault_plan)
@@ -565,13 +563,7 @@ class BatchQueueBackend:
                     f"[sweep:batch] waiting: {len(missing)} points missing",
                     flush=True,
                 )
-            time.sleep(
-                backoff_seconds(
-                    idle_rounds,
-                    base=min(self.poll_interval, 1.0),
-                    cap=max(self.poll_interval, 8.0),
-                )
-            )
+            time.sleep(backoff_seconds(idle_rounds, base=1.0, cap=8.0))
             idle_rounds += 1
 
 

@@ -71,13 +71,8 @@ class LocalBackend:
 
     name = "local"
 
-    def __init__(
-        self,
-        jobs: Optional[int] = None,
-        start_method: Optional[str] = None,
-    ) -> None:
+    def __init__(self, jobs: Optional[int] = None) -> None:
         self.jobs = resolve_jobs(jobs)
-        self.start_method = start_method
 
     def execute(
         self, runner: SweepRunner, pending: Sequence[SweepPoint]
@@ -91,11 +86,6 @@ class LocalBackend:
                 runner.run_point(point)
             return len(pending)
         params = runner.runner_params(cache_dir=runner.cache_dir)
-        ctx = (
-            multiprocessing.get_context(self.start_method)
-            if self.start_method
-            else multiprocessing.get_context()
-        )
         n_workers = min(self.jobs, len(pending))
         if runner.verbose:
             print(
@@ -103,7 +93,7 @@ class LocalBackend:
                 f"(scale={runner.scale})",
                 flush=True,
             )
-        with ctx.Pool(
+        with multiprocessing.Pool(
             processes=n_workers,
             initializer=_init_worker,
             initargs=(params,),

@@ -26,10 +26,10 @@ Protocol (one JSON object per line, worker → coordinator unless noted)::
         -> {"op": "ack"}
 
 Protocol 3 adds fault tolerance on top of protocol 2's serialized
-:class:`~repro.harness.spec.SweepPoint` tasks.  The bump is *additive*
-(the welcome gains ``lease_timeout`` and ``heartbeat_interval``; every
-protocol-2 message is unchanged), so a v3 worker accepts a v2 welcome —
-it simply has no lease to renew.  The fault-tolerance pass:
+:class:`~repro.harness.spec.SweepPoint` tasks: the welcome carries
+``lease_timeout`` and ``heartbeat_interval``.  The coordinator and the
+worker ship in one package, so a worker accepts a protocol-3 welcome
+only.  The fault-tolerance pass:
 
 * **Deadline leases** — every served task carries a lease of
   ``lease_timeout`` seconds; a worker's heartbeat thread renews it
@@ -83,17 +83,13 @@ from .base import default_worker_id, register_backend
 #: protocol version sent in the welcome message (3 = leases/heartbeats)
 PROTO_VERSION = 3
 
-#: welcome protocols this worker accepts (2 is proto 3 minus leases)
-ACCEPTED_PROTOS = (2, PROTO_VERSION)
-
 #: how many times a point may be attempted before the sweep fails
 DEFAULT_MAX_ATTEMPTS = 3
 
 #: seconds a served task's lease lasts without a heartbeat renewal
 DEFAULT_LEASE_TIMEOUT = 60.0
 
-#: fallback idle sleep (the floor of the coordinator's backoff advice,
-#: and what a worker sleeps when a v2 coordinator sends no ``seconds``)
+#: floor of the coordinator's idle-wait advice
 WAIT_SECONDS = 0.1
 
 #: ceiling of the coordinator's idle-wait advice
@@ -548,14 +544,12 @@ def _worker_session(
     name: str,
     injector: FaultInjector,
     state: dict,
-    crash_after_tasks: Optional[int],
 ) -> str:
     """Run one connection's pull loop; ``"done"`` or ``"lost"``.
 
     ``state`` persists across reconnects: the rebuilt runner and the
     received-task counter (which the fault plan's ordinals index).
     """
-    pump: Optional[_HeartbeatPump] = None
     write_lock = threading.Lock()
     with sock, sock.makefile("rb") as rfile, sock.makefile("wb") as wfile:
 
@@ -563,23 +557,21 @@ def _worker_session(
             with write_lock:
                 _send(wfile, obj)
 
+        send({"op": "hello", "worker": name})
+        welcome = _recv(rfile)
+        if welcome is None or welcome is _MALFORMED:
+            return "lost"
+        if welcome.get("op") != "welcome":
+            raise RuntimeError(f"bad welcome from coordinator: {welcome!r}")
+        if welcome.get("proto") != PROTO_VERSION:
+            raise RuntimeError(
+                f"coordinator speaks protocol {welcome.get('proto')!r}, "
+                f"this worker speaks {PROTO_VERSION}"
+            )
+        params = welcome["params"]
+        pump = _HeartbeatPump(send, float(welcome["heartbeat_interval"]))
+        pump.start()
         try:
-            send({"op": "hello", "worker": name})
-            welcome = _recv(rfile)
-            if welcome is None or welcome is _MALFORMED:
-                return "lost"
-            if welcome.get("op") != "welcome":
-                raise RuntimeError(f"bad welcome from coordinator: {welcome!r}")
-            if welcome.get("proto") not in ACCEPTED_PROTOS:
-                raise RuntimeError(
-                    f"coordinator speaks protocol {welcome.get('proto')!r}, "
-                    f"this worker speaks {sorted(ACCEPTED_PROTOS)}"
-                )
-            params = welcome["params"]
-            interval = float(welcome.get("heartbeat_interval") or 0.0)
-            if interval > 0:
-                pump = _HeartbeatPump(send, interval)
-                pump.start()
             while True:
                 send({"op": "get"})
                 msg = _recv(rfile)
@@ -588,7 +580,7 @@ def _worker_session(
                 if msg.get("op") == "done":
                     return "done"
                 if msg.get("op") == "wait":
-                    time.sleep(float(msg.get("seconds", WAIT_SECONDS)))
+                    time.sleep(float(msg["seconds"]))
                     continue
                 if msg.get("op") != "task":
                     raise RuntimeError(
@@ -597,11 +589,6 @@ def _worker_session(
                 point = _point_of(msg)
                 state["received"] += 1
                 action = injector.on_task()
-                if (
-                    crash_after_tasks is not None
-                    and state["received"] >= crash_after_tasks
-                ):
-                    os._exit(KILL_EXIT_CODE)
                 if action is not None and action.kind == "kill":
                     os._exit(KILL_EXIT_CODE)
                 if action is not None and action.kind == "drop":
@@ -609,23 +596,20 @@ def _worker_session(
                 if action is not None and action.kind == "hang":
                     # a wedged process heartbeats nothing: the lease
                     # must expire and the point migrate
-                    if pump is not None:
-                        pump.clear()
+                    pump.clear()
                     if action.seconds > 0:
                         time.sleep(action.seconds)
                     else:
                         while True:  # wedge until torn down
                             time.sleep(3600)
-                if pump is not None:
-                    pump.watch(name, msg["point"])
+                pump.watch(name, msg["point"])
                 if state["runner"] is None:
                     state["runner"] = SweepRunner(verbose=False, **params)
                 runner: SweepRunner = state["runner"]
                 try:
                     res, energy = runner.run_point(point)
                 except Exception as exc:
-                    if pump is not None:
-                        pump.clear()
+                    pump.clear()
                     send(
                         {
                             "op": "error",
@@ -664,18 +648,15 @@ def _worker_session(
                     send(result_msg)
                     if _recv(rfile) is None:
                         return "lost"
-                if pump is not None:
-                    pump.clear()
+                pump.clear()
         finally:
-            if pump is not None:
-                pump.shutdown()
+            pump.shutdown()
 
 
 def worker_main(
     host: str,
     port: int,
     worker_name: Optional[str] = None,
-    crash_after_tasks: Optional[int] = None,
     fault_plan: Optional[dict] = None,
     connect_attempts: int = DEFAULT_CONNECT_ATTEMPTS,
 ) -> int:
@@ -687,10 +668,9 @@ def worker_main(
     dies mid-sweep — by redialing with jittered exponential backoff,
     giving up only after ``connect_attempts`` consecutive failures.
 
-    ``crash_after_tasks`` is the legacy fault seam (hard-exit after
-    receiving that many tasks); ``fault_plan`` is the general one — the
-    dict form of a :class:`~repro.harness.faults.FaultPlan`, passed as a
-    dict so it survives the ``spawn`` start method.
+    ``fault_plan`` is the dict form of a
+    :class:`~repro.harness.faults.FaultPlan`, passed as a dict so it
+    survives the ``spawn`` start method.
     """
     name = worker_name or default_worker_id()
     injector = FaultInjector(fault_plan, name)
@@ -709,9 +689,7 @@ def worker_main(
             time.sleep(backoff_seconds(failures - 1, rng=injector.rng))
             continue
         try:
-            outcome = _worker_session(
-                sock, name, injector, state, crash_after_tasks
-            )
+            outcome = _worker_session(sock, name, injector, state)
         except OSError:
             outcome = "lost"
         if outcome == "done":
@@ -750,7 +728,6 @@ class SocketWorkStealingBackend:
         spawn_workers: int = 2,
         timeout: Optional[float] = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        crash_plan: Optional[Dict[int, int]] = None,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
         fault_plan: PlanLike = None,
     ) -> None:
@@ -760,13 +737,7 @@ class SocketWorkStealingBackend:
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.lease_timeout = float(lease_timeout)
-        #: legacy fault seam: worker index -> crash_after_tasks; folded
-        #: into the fault plan as kill actions on the spawned names
-        self.crash_plan = dict(crash_plan or {})
-        plan = coerce_plan(fault_plan)
-        for index, after in self.crash_plan.items():
-            plan.kill(f"local-{index}", on_task=after)
-        self.fault_plan = plan
+        self.fault_plan = coerce_plan(fault_plan)
         #: stats of the last :meth:`execute` (served/requeued/...)
         self.last_stats: Dict[str, int] = {}
         #: per-point ledger of the last :meth:`execute`

@@ -409,12 +409,22 @@ def make_runner(
 
 
 def _matrix_from_args(args: argparse.Namespace) -> Tuple[List[str], List[int]]:
-    """Resolve the (benchmarks, sizes) selection flags."""
-    sizes = (
-        [int(s) for s in args.sizes.split(",")]
-        if args.sizes
-        else list(PAPER_TOTAL_L2_MB)
-    )
+    """Resolve the (benchmarks, sizes) selection flags.
+
+    A malformed ``--sizes`` value prints one error line and exits 2.
+    """
+    try:
+        sizes = (
+            [int(s) for s in args.sizes.split(",")]
+            if args.sizes
+            else list(PAPER_TOTAL_L2_MB)
+        )
+    except ValueError:
+        print(
+            f"bad --sizes {args.sizes!r}; expected comma-separated MB, e.g. 1,4",
+            file=sys.stderr,
+        )
+        raise SystemExit(2) from None
     benchmarks = (
         args.benchmarks.split(",") if args.benchmarks else list(PAPER_BENCHMARKS)
     )
@@ -836,8 +846,8 @@ def _open_store(
     return ResultStore.open(
         None if args.no_cache else args.cache_dir,
         spec,
-        scale=args.scale if args.scale is not None else None,
-        seed=args.seed if args.seed is not None else None,
+        scale=args.scale,
+        seed=args.seed,
         simulate_missing=args.simulate,
         verbose=args.simulate and not args.quiet,
     )
@@ -917,9 +927,16 @@ def _serve_results_command(args: argparse.Namespace) -> int:
     cached = len(store.metrics())
     missing = len(store.missing_points())
 
-    async def _serve() -> None:
+    async def _serve() -> int:
         server = ResultServer(service.handle, host=args.bind, port=args.port)
-        await server.start()
+        try:
+            await server.start()
+        except OSError as exc:
+            print(
+                f"serve-results: cannot listen on {args.bind}:{args.port}: {exc}",
+                file=sys.stderr,
+            )
+            return 1
         print(
             f"[serve-results] {store.name}: {cached} cached row(s), "
             f"{missing} missing; listening on "
@@ -927,9 +944,10 @@ def _serve_results_command(args: argparse.Namespace) -> int:
             flush=True,
         )
         await server.serve_forever()
+        return 0
 
     try:
-        asyncio.run(_serve())
+        return asyncio.run(_serve())
     except KeyboardInterrupt:
         if not args.quiet:
             print("[serve-results] stopped")
@@ -1054,9 +1072,17 @@ def _work_command(args: argparse.Namespace) -> int:
     plan_dict = plan.to_dict() if plan else None
     if args.args and ":" in args.args[0]:
         host, port = args.args[0].rsplit(":", 1)
+        try:
+            port_number = int(port)
+        except ValueError:
+            print(
+                f"bad coordinator address {args.args[0]!r}; expected host:port",
+                file=sys.stderr,
+            )
+            return 2
         return worker_main(
             host,
-            int(port),
+            port_number,
             worker_name=args.worker_id,
             fault_plan=plan_dict,
         )
@@ -1067,17 +1093,21 @@ def _work_command(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    done = run_batch_worker(
-        args.queue_dir,
-        worker_id=args.worker_id,
-        task_slice=_parse_slice(args.task_slice),
-        lease_timeout=(
-            args.lease_timeout
-            if args.lease_timeout is not None
-            else DEFAULT_LEASE_TIMEOUT
-        ),
-        fault_plan=plan_dict,
-    )
+    try:
+        done = run_batch_worker(
+            args.queue_dir,
+            worker_id=args.worker_id,
+            task_slice=_parse_slice(args.task_slice),
+            lease_timeout=(
+                args.lease_timeout
+                if args.lease_timeout is not None
+                else DEFAULT_LEASE_TIMEOUT
+            ),
+            fault_plan=plan_dict,
+        )
+    except OSError as exc:
+        print(f"work: {exc}", file=sys.stderr)
+        return 1
     if not args.quiet:
         print(f"[work] simulated {done} points into {args.queue_dir}")
     return 0
@@ -1133,9 +1163,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                 file=sys.stderr,
             )
             return 2
-        wl, mb, tech = args.args[0], int(args.args[1]), args.args[2]
+        wl, mb, tech = args.args
         try:
-            point = runner.point(wl, mb, tech)
+            total_mb = int(mb)
+        except ValueError:
+            print(f"bad total_mb {mb!r}; expected an integer", file=sys.stderr)
+            return 2
+        try:
+            point = runner.point(wl, total_mb, tech)
         except SpecError as exc:
             print(str(exc), file=sys.stderr)
             return 2
@@ -1153,13 +1188,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             kwargs["sizes"] = sizes
             kwargs["benchmarks"] = benchmarks
-        table = run_experiment(args.command, runner, **kwargs)
-        print(table.render())
-        if args.csv:
-            with open(args.csv, "w", newline="") as fh:
-                fh.write(table.to_csv())
-            if not args.quiet:
-                print(f"[csv] wrote {args.csv}")
+        _emit_table(args, run_experiment(args.command, runner, **kwargs))
         return 0
 
     print(f"unknown command {args.command!r}; try 'list'", file=sys.stderr)

@@ -35,7 +35,6 @@ from ..sim.config import PAPER_TOTAL_L2_MB, paper_technique_order
 from ..workloads.registry import PAPER_BENCHMARKS
 from .backends import (
     LocalBackend,
-    PointSpec,
     SweepBackend,
     make_backend,
     resolve_jobs,
@@ -44,7 +43,7 @@ from .metrics import PointMetrics
 from .runner import DEFAULT_WARMUP, SweepRunner
 from .spec import ExperimentSpec, SweepPoint
 
-__all__ = ["ParallelSweepRunner", "PointSpec", "resolve_jobs"]
+__all__ = ["ParallelSweepRunner", "resolve_jobs"]
 
 
 class ParallelSweepRunner(SweepRunner):
@@ -67,7 +66,6 @@ class ParallelSweepRunner(SweepRunner):
         cache_dir: Optional[str] = ".repro_cache",
         verbose: bool = True,
         jobs: Optional[int] = None,
-        start_method: Optional[str] = None,
         backend: Union[SweepBackend, str, None] = None,
         trace_root: Optional[str] = None,
     ) -> None:
@@ -81,9 +79,8 @@ class ParallelSweepRunner(SweepRunner):
             trace_root=trace_root,
         )
         self.jobs = resolve_jobs(jobs)
-        self.start_method = start_method
         if backend is None or backend == "local":
-            backend = LocalBackend(jobs=self.jobs, start_method=start_method)
+            backend = LocalBackend(jobs=self.jobs)
         elif isinstance(backend, str):
             # other names get default-configured instances; pass a
             # constructed backend to control spawn counts/ports/queues

@@ -42,8 +42,7 @@ DELIVERY_KINDS = ("corrupt", "delay", "duplicate")
 #: every valid :attr:`FaultAction.kind`
 FAULT_KINDS = RECEIPT_KINDS + DELIVERY_KINDS
 
-#: exit status of a worker killed by fault injection (also what the
-#: pre-plan ``crash_after_tasks`` seam used, so CI greps stay valid)
+#: exit status of a worker killed by fault injection
 KILL_EXIT_CODE = 17
 
 

@@ -9,9 +9,8 @@ better.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..power.energy import EnergyBreakdown
 from ..sim.stats import SimResult
@@ -158,51 +157,3 @@ class PointMetrics:
             "peak_temp_c": self.peak_temp_c,
             "n_cores": self.n_cores,
         }
-
-
-def select_metrics(
-    metrics: Iterable[PointMetrics],
-    workload: Optional[str] = None,
-    total_mb: Optional[int] = None,
-    technique: Optional[str] = None,
-) -> List[PointMetrics]:
-    """Deprecated: filter a metric list by loose coordinate kwargs.
-
-    Superseded by :class:`repro.harness.query.ResultQuery` — build one
-    query object (``ResultQuery(workloads=(...,), sizes_mb=(...,),
-    techniques=(...,)).apply(metrics)``) and every consumer (CLI,
-    figures, ensembles, HTTP) selects identically.  This shim forwards
-    for one release, then goes away (the PR 3→4 retirement pattern).
-    """
-    warnings.warn(
-        "select_metrics() is deprecated; build a "
-        "repro.harness.query.ResultQuery and call .apply(metrics)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .query import ResultQuery  # deferred: query imports this module
-
-    return ResultQuery(
-        workloads=(workload,) if workload is not None else (),
-        sizes_mb=(total_mb,) if total_mb is not None else (),
-        techniques=(technique,) if technique is not None else (),
-    ).apply(metrics)
-
-
-def metrics_by_point(
-    metrics: Iterable[PointMetrics],
-) -> Dict[tuple, PointMetrics]:
-    """Deprecated: index a metric list by ``(workload, total_mb, technique)``.
-
-    Superseded by :func:`repro.harness.query.index_by_triple`; this shim
-    forwards for one release, then goes away.
-    """
-    warnings.warn(
-        "metrics_by_point() is deprecated; use "
-        "repro.harness.query.index_by_triple",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .query import index_by_triple  # deferred: query imports this module
-
-    return dict(index_by_triple(metrics))

@@ -1,12 +1,12 @@
 """The formal result-query API: one query object, four consumers.
 
 Selection used to be scattered: ``figures.py`` filtered metric lists
-with loose kwargs (``select_metrics``/``metrics_by_point``), the CLI
-emitted tables and CSV with its own ad-hoc loops, and the ensemble
-aggregator picked columns by hand.  This module extracts that logic into
-one frozen, serializable :class:`ResultQuery` — filter axes + sort +
-projection + limit — executed through a single seam,
-:meth:`ResultStore.run_query`, by every consumer:
+with loose coordinate kwargs, the CLI emitted tables and CSV with its
+own ad-hoc loops, and the ensemble aggregator picked columns by hand.
+This module extracts that logic into one frozen, serializable
+:class:`ResultQuery` — filter axes + sort + projection + limit —
+executed through a single seam, :meth:`ResultStore.run_query`, by every
+consumer:
 
 * the CLI (``repro-cmp query``, ``--query`` on ``run``/``scenario run``),
 * the figure renderer (the slice builders in ``figures.py``),
@@ -379,11 +379,7 @@ class ResultQuery:
 def index_by_triple(
     metrics: Iterable[PointMetrics],
 ) -> Dict[Tuple[str, int, str], PointMetrics]:
-    """Index metric rows by ``(workload, total_mb, technique)``.
-
-    The supported replacement for the deprecated
-    :func:`~repro.harness.metrics.metrics_by_point`.
-    """
+    """Index metric rows by ``(workload, total_mb, technique)``."""
     return {(m.workload, m.total_mb, m.technique): m for m in metrics}
 
 

@@ -27,8 +27,8 @@ Properties the sweep executor relies on:
 * **version isolation** — bumping the schema version simply selects a
   different subdirectory; stale versions are reclaimed by :meth:`prune`.
 
-The legacy flat layout (``<root>/v7-<key>.json`` files produced before
-the sharded cache existed) is never read; :meth:`prune` deletes it.
+Files outside the ``v<N>/`` directories are not the cache's: nothing
+here reads, counts or deletes them.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ class CacheStats:
     current_version: int
     #: version -> (entry count, total bytes)
     versions: Dict[int, Tuple[int, int]] = field(default_factory=dict)
-    legacy_files: int = 0
 
     @property
     def entries(self) -> int:
@@ -110,10 +109,6 @@ class CacheStats:
             lines.append(f"  {mark} v{ver}: {n} entries, {b / 1e6:.2f} MB")
         if not self.versions:
             lines.append("    (empty)")
-        if self.legacy_files:
-            lines.append(
-                f"    {self.legacy_files} legacy flat files (prune removes)"
-            )
         return "\n".join(lines)
 
 
@@ -124,26 +119,19 @@ class PruneReport:
     stale_versions: int = 0
     stale_entries: int = 0
     corrupt_entries: int = 0
-    legacy_files: int = 0
     tmp_files: int = 0
 
     @property
     def removed(self) -> int:
         """Total files/entries removed."""
-        return (
-            self.stale_entries
-            + self.corrupt_entries
-            + self.legacy_files
-            + self.tmp_files
-        )
+        return self.stale_entries + self.corrupt_entries + self.tmp_files
 
     def render(self) -> str:
         """One-line summary."""
         return (
             f"pruned {self.removed} files: {self.stale_versions} stale "
             f"version dirs ({self.stale_entries} entries), "
-            f"{self.corrupt_entries} corrupt, {self.legacy_files} legacy, "
-            f"{self.tmp_files} tmp"
+            f"{self.corrupt_entries} corrupt, {self.tmp_files} tmp"
         )
 
 
@@ -320,20 +308,8 @@ class ResultCache:
                 out[int(name[1:])] = path
         return out
 
-    def _legacy_files(self) -> list:
-        """Flat ``v*-*.json`` files from the pre-sharded layout."""
-        try:
-            names = os.listdir(self.root)
-        except OSError:
-            return []
-        return [
-            os.path.join(self.root, n)
-            for n in sorted(names)
-            if n.endswith(".json") and os.path.isfile(os.path.join(self.root, n))
-        ]
-
     def stats(self) -> CacheStats:
-        """Entry counts and sizes per version plus legacy leftovers."""
+        """Entry counts and sizes per version."""
         st = CacheStats(root=self.root, current_version=self.version)
         for ver in self.versions_present():
             count = size = 0
@@ -344,14 +320,13 @@ class ResultCache:
                 except OSError:
                     pass
             st.versions[ver] = (count, size)
-        st.legacy_files = len(self._legacy_files())
         return st
 
-    def prune(self, validate: bool = True) -> PruneReport:
-        """Reclaim disk: stale versions, corrupt/tmp entries, legacy files.
+    def prune(self) -> PruneReport:
+        """Reclaim disk: stale versions, tmp files and corrupt entries.
 
-        ``validate`` additionally parses every current-version entry and
-        deletes the ones that fail to load.
+        Every current-version entry is parsed; the ones that fail to
+        load are deleted.
         """
         report = PruneReport()
         for ver, vdir in self.versions_present().items():
@@ -360,9 +335,6 @@ class ResultCache:
             report.stale_entries += sum(1 for _ in self.iter_entries(ver))
             shutil.rmtree(vdir, ignore_errors=True)
             report.stale_versions += 1
-        for path in self._legacy_files():
-            os.unlink(path)
-            report.legacy_files += 1
         vdir = self.version_dir()
         if os.path.isdir(vdir):
             for dirpath, _, names in os.walk(vdir):
@@ -370,14 +342,13 @@ class ResultCache:
                     if name.startswith(_TMP_PREFIX):
                         os.unlink(os.path.join(dirpath, name))
                         report.tmp_files += 1
-        if validate:
-            for key, path in list(self.iter_entries()):
-                try:
-                    with open(path) as fh:
-                        json.load(fh)
-                except (json.JSONDecodeError, UnicodeDecodeError, OSError):
-                    os.unlink(path)
-                    report.corrupt_entries += 1
+        for key, path in list(self.iter_entries()):
+            try:
+                with open(path) as fh:
+                    json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError, OSError):
+                os.unlink(path)
+                report.corrupt_entries += 1
         return report
 
     def build_manifest(self) -> dict:
@@ -441,15 +412,14 @@ class ResultCache:
     def import_entries(
         self,
         source: Union["ResultCache", str],
-        use_manifest: bool = True,
         exclude: Iterable[str] = (),
     ) -> MergeReport:
         """Merge another cache's current-version entries into this one.
 
         The source is another cache root (e.g. a batch worker's shard,
         or a ``.repro_cache`` rsynced from a different host).  The shard
-        directories are always walked, and with ``use_manifest`` the
-        manifest's key list is unioned in — so entries written *after*
+        directories are walked and the manifest's key list is unioned
+        in — so entries written *after*
         the manifest snapshot are still merged, while manifest rows whose
         blob is missing on disk are counted as ``stale_manifest`` (a
         worker died between write and sync) instead of failing.
@@ -475,7 +445,7 @@ class ResultCache:
         report = MergeReport(source=src.root)
         skip = set(exclude)
         paths: Dict[str, str] = dict(src.iter_entries())
-        manifest = src.read_manifest() if use_manifest else None
+        manifest = src.read_manifest()
         if manifest is not None and isinstance(manifest.get("entries"), dict):
             for key in manifest["entries"]:
                 paths.setdefault(key, src.path_for(key))

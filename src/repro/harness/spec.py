@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import tomllib
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -711,14 +712,7 @@ def save_spec(spec: ExperimentSpec, path: str) -> str:
 # Spec documents use a small, regular TOML subset: scalar top-level keys,
 # one level of tables ([axes], [run], [techniques.<label>]), and arrays
 # of tables ([[skip]], [[points]]).  The emitter below produces it; the
-# reader prefers the stdlib ``tomllib`` (Python >= 3.11) and falls back
-# to a minimal parser of the same subset so 3.10 hosts — and containers
-# without tomllib — can still run spec files.
-
-try:  # pragma: no cover - exercised indirectly on every 3.11+ host
-    import tomllib as _tomllib
-except ImportError:  # pragma: no cover - 3.10 fallback path
-    _tomllib = None
+# stdlib ``tomllib`` reads it (and any hand-edited TOML) back.
 
 
 def _toml_scalar(value: Any) -> str:
@@ -806,210 +800,8 @@ def dumps_toml(data: Mapping[str, Any]) -> str:
 
 
 def loads_toml(text: str) -> Dict[str, Any]:
-    """Parse TOML text into a dict (stdlib ``tomllib`` when available)."""
-    if _tomllib is not None:
-        try:
-            return _tomllib.loads(text)
-        except _tomllib.TOMLDecodeError as exc:
-            raise SpecError(f"invalid TOML spec: {exc}") from exc
-    return parse_toml_minimal(text)
-
-
-def _parse_toml_value(token: str) -> Any:
-    """Parse one TOML scalar/array token (fallback parser)."""
-    token = token.strip()
-    if token.startswith("["):
-        if not token.endswith("]"):
-            raise SpecError(f"unterminated array: {token!r}")
-        return [
-            _parse_toml_value(item)
-            for item in _split_toml_array(token[1:-1])
-        ]
-    if token.startswith('"'):
-        try:
-            return json.loads(token)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"bad TOML string {token!r}: {exc}") from exc
-    if token in ("true", "false"):
-        return token == "true"
+    """Parse TOML text into a dict with the stdlib ``tomllib``."""
     try:
-        if any(c in token for c in ".eE") and not token.startswith("0x"):
-            return float(token)
-        return int(token, 0)
-    except ValueError as exc:
-        raise SpecError(f"cannot parse TOML value {token!r}") from exc
-
-
-def _split_toml_array(body: str) -> List[str]:
-    """Split an array body on top-level commas (respecting strings)."""
-    items: List[str] = []
-    depth = 0
-    in_str = False
-    current = ""
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if in_str:
-            current += ch
-            if ch == "\\":
-                current += body[i + 1]
-                i += 1
-            elif ch == '"':
-                in_str = False
-        elif ch == '"':
-            in_str = True
-            current += ch
-        elif ch == "[":
-            depth += 1
-            current += ch
-        elif ch == "]":
-            depth -= 1
-            current += ch
-        elif ch == "," and depth == 0:
-            items.append(current)
-            current = ""
-        else:
-            current += ch
-        i += 1
-    if current.strip():
-        items.append(current)
-    return items
-
-
-def _bracket_depth(text: str) -> int:
-    """Net ``[``/``]`` nesting outside basic strings (for continuations)."""
-    depth = 0
-    in_str = False
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if in_str:
-            if ch == "\\":
-                i += 1
-            elif ch == '"':
-                in_str = False
-        elif ch == '"':
-            in_str = True
-        elif ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        i += 1
-    return depth
-
-
-def _strip_toml_comment(line: str) -> str:
-    """Drop a ``#`` comment that is not inside a basic string."""
-    in_str = False
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if in_str:
-            if ch == "\\":
-                i += 1
-            elif ch == '"':
-                in_str = False
-        elif ch == '"':
-            in_str = True
-        elif ch == "#":
-            return line[:i]
-        i += 1
-    return line
-
-
-def _parse_toml_key(token: str) -> str:
-    """One (possibly quoted) key of a header path or assignment."""
-    token = token.strip()
-    if token.startswith('"'):
-        try:
-            return json.loads(token)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"bad TOML key {token!r}: {exc}") from exc
-    return token
-
-
-def _split_toml_path(path: str) -> List[str]:
-    """Split a header path on dots outside quotes (``a."b.c"`` → 2 parts)."""
-    parts: List[str] = []
-    current = ""
-    in_str = False
-    i = 0
-    while i < len(path):
-        ch = path[i]
-        if in_str:
-            current += ch
-            if ch == "\\" and i + 1 < len(path):
-                current += path[i + 1]
-                i += 1
-            elif ch == '"':
-                in_str = False
-        elif ch == '"':
-            in_str = True
-            current += ch
-        elif ch == ".":
-            parts.append(_parse_toml_key(current))
-            current = ""
-        else:
-            current += ch
-        i += 1
-    parts.append(_parse_toml_key(current))
-    return parts
-
-
-def parse_toml_minimal(text: str) -> Dict[str, Any]:
-    """Fallback TOML reader for the spec subset (no ``tomllib``).
-
-    Supports ``[table]``/``[a.b]`` headers, ``[[array.of.tables]]``,
-    ``key = value`` with strings/ints/floats/bools, single- and
-    multi-line arrays, and ``#`` comments — exactly what
-    :func:`dumps_toml` emits (plus reasonable hand-edits).
-    """
-    root: Dict[str, Any] = {}
-    current: Dict[str, Any] = root
-    lines = text.splitlines()
-    i = 0
-    while i < len(lines):
-        line = _strip_toml_comment(lines[i]).strip()
-        i += 1
-        if not line:
-            continue
-        if line.startswith("[["):
-            if not line.endswith("]]"):
-                raise SpecError(f"bad table-array header: {line!r}")
-            path = _split_toml_path(line[2:-2].strip())
-            parent = root
-            for part in path[:-1]:
-                parent = parent.setdefault(part, {})
-            arr = parent.setdefault(path[-1], [])
-            if not isinstance(arr, list):
-                raise SpecError(f"{'.'.join(path)} is both table and array")
-            current = {}
-            arr.append(current)
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise SpecError(f"bad table header: {line!r}")
-            path = _split_toml_path(line[1:-1].strip())
-            parent = root
-            for part in path[:-1]:
-                parent = parent.setdefault(part, {})
-            table = parent.setdefault(path[-1], {})
-            if not isinstance(table, dict):
-                raise SpecError(f"{'.'.join(path)} is both scalar and table")
-            current = table
-            continue
-        if "=" not in line:
-            raise SpecError(f"expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key = _parse_toml_key(key.strip())
-        value = value.strip()
-        # multi-line array: keep consuming until brackets balance
-        # (counted outside strings — a lone "[" inside a quoted value is
-        # data, not an array opener)
-        while _bracket_depth(value) > 0:
-            if i >= len(lines):
-                raise SpecError(f"unterminated array for key {key!r}")
-            value += " " + _strip_toml_comment(lines[i]).strip()
-            i += 1
-        current[key] = _parse_toml_value(value)
-    return root
+        return tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise SpecError(f"invalid TOML spec: {exc}") from exc

@@ -114,11 +114,15 @@ async def _read_request(reader: asyncio.StreamReader) -> Optional[Request]:
     """Parse one request off the stream; ``None`` on clean EOF.
 
     Raises :class:`HttpError` (400) on malformed or oversized input.
+    ``readline`` raises ``ValueError`` for a line past the stream's
+    64 KiB buffer limit; that is an oversized line too.
     """
     try:
         line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError):
+    except ConnectionError:
         return None
+    except ValueError:
+        raise HttpError(400, "request line too long") from None
     if not line:
         return None
     if len(line) > _MAX_LINE:
@@ -131,7 +135,10 @@ async def _read_request(reader: asyncio.StreamReader) -> Optional[Request]:
     headers: Dict[str, str] = {}
     total = 0
     while True:
-        line = await reader.readline()
+        try:
+            line = await reader.readline()
+        except ValueError:
+            raise HttpError(400, "header line too long") from None
         if not line:
             raise HttpError(400, "truncated header block")
         total += len(line)

@@ -27,7 +27,7 @@ import os
 from typing import Dict, List, Optional, Tuple
 
 from ..workloads.trace import Workload, WorkloadMeta
-from .format import TraceError, TraceFormatError, TraceReader
+from .format import TraceError, TraceReader
 
 #: dispatch prefix of file-backed trace workload names
 TRACE_PREFIX = "trace:"
@@ -133,10 +133,6 @@ def trace_workload(
     path = trace_path(name, trace_root)
     try:
         reader = TraceReader(path)
-    except TraceFormatError:
-        raise
-    except TraceError:
-        raise
     except OSError as exc:  # pragma: no cover - open() errors wrap above
         raise TraceError(f"cannot open trace {path!r}: {exc}") from exc
     if n_cores != reader.n_cores:

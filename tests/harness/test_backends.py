@@ -2,6 +2,8 @@
 
 import json
 import os
+import socket
+import threading
 
 import pytest
 
@@ -15,8 +17,9 @@ from repro.harness.backends import (
     write_task_file,
 )
 from repro.harness.backends.batch import list_worker_result_dirs
-from repro.harness.backends.socket_ws import _TaskServer
+from repro.harness.backends.socket_ws import _TaskServer, worker_main
 from repro.harness.executor import ParallelSweepRunner
+from repro.harness.faults import FaultPlan
 from repro.harness.runner import SweepRunner, encode_entry
 from repro.harness.spec import SweepPoint, grid_spec
 
@@ -120,7 +123,9 @@ class TestSocketBackend:
         # worker 0 hard-exits after *receiving* its first task; worker 1
         # must steal the requeued point and the sweep still match serial
         backend = SocketWorkStealingBackend(
-            spawn_workers=2, timeout=600, crash_plan={0: 1}
+            spawn_workers=2,
+            timeout=600,
+            fault_plan=FaultPlan().kill("local-0", on_task=1),
         )
         runner = ParallelSweepRunner(
             scale=SCALE,
@@ -142,11 +147,12 @@ class TestSocketBackend:
     def test_unrunnable_matrix_fails_after_retries(self, tmp_path):
         # both workers crash on their first task: every lease is lost,
         # attempts exhaust, and execute() must raise instead of hanging
+        plan = FaultPlan().kill("local-0", on_task=1).kill("local-1", on_task=1)
         backend = SocketWorkStealingBackend(
             spawn_workers=2,
             timeout=600,
             max_attempts=2,
-            crash_plan={0: 1, 1: 1},
+            fault_plan=plan,
         )
         runner = ParallelSweepRunner(
             scale=SCALE,
@@ -160,6 +166,29 @@ class TestSocketBackend:
             runner.prefetch(
                 benchmarks=["uniform"], sizes=[1], techniques=["protocol"]
             )
+
+
+class TestSocketProtocol:
+    def test_worker_rejects_a_protocol_2_welcome(self):
+        # the coordinator and the worker ship together: a worker greeted
+        # by any protocol other than its own must fail loudly, not pull
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+
+            def coordinator() -> None:
+                conn, _ = listener.accept()
+                with conn, conn.makefile("rwb") as stream:
+                    stream.readline()  # hello
+                    welcome = {"op": "welcome", "proto": 2, "params": {}}
+                    stream.write((json.dumps(welcome) + "\n").encode())
+                    stream.flush()
+                    stream.readline()  # EOF; a worker that accepts sends "get"
+
+            thread = threading.Thread(target=coordinator, daemon=True)
+            thread.start()
+            port = listener.getsockname()[1]
+            with pytest.raises(RuntimeError, match="protocol 2"):
+                worker_main("127.0.0.1", port, connect_attempts=0)
+            thread.join(timeout=10)
 
 
 class TestDuplicateInstall:

@@ -1,6 +1,9 @@
 """Harness: metrics, sweep runner caching, figure rendering, CLI."""
 
 import os
+import socket
+import subprocess
+import sys
 
 import pytest
 
@@ -152,3 +155,38 @@ class TestCLI:
 
     def test_unknown_command(self, capsys):
         assert cli_main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["point", "uniform", "x", "protocol"], 2),
+            (["fig3a", "--sizes", "a"], 2),
+            (["work", "127.0.0.1:notaport"], 2),
+            (["work", "--queue-dir", "{tmp}/no_queue"], 1),
+            (["serve-results", "--port", "{port}"], 1),
+        ],
+        ids=["point_mb", "fig_sizes", "work_port", "no_task_file", "busy_port"],
+    )
+    def test_bad_input_prints_one_error_line(self, tmp_path, argv, code):
+        # what a user sees: the CLI as a process, exit code and stderr
+        src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.abspath(src), env.get("PYTHONPATH", "")]
+        )
+        with socket.create_server(("127.0.0.1", 0)) as busy:
+            argv = [
+                arg.format(tmp=tmp_path, port=busy.getsockname()[1])
+                for arg in argv
+            ]
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.harness.cli", *argv],
+                cwd=tmp_path,
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr

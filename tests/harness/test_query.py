@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness.metrics import PointMetrics, metrics_by_point, select_metrics
+from repro.harness.metrics import PointMetrics
 from repro.harness.query import (
     PROJECTION_FIELDS,
     QUERY_FIELDS,
@@ -217,17 +217,3 @@ class TestIndexByTriple:
         idx = index_by_triple(ROWS)
         assert idx[("uniform", 4, "protocol")] is ROWS[2]
         assert len(idx) == len(ROWS)
-
-
-class TestDeprecatedShims:
-    def test_select_metrics_warns_and_forwards(self):
-        with pytest.deprecated_call():
-            got = select_metrics(ROWS, workload="uniform", total_mb=1)
-        assert got == ResultQuery(
-            workloads=("uniform",), sizes_mb=(1,)
-        ).apply(ROWS)
-
-    def test_metrics_by_point_warns_and_forwards(self):
-        with pytest.deprecated_call():
-            got = metrics_by_point(ROWS)
-        assert got == index_by_triple(ROWS)

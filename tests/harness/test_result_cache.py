@@ -106,18 +106,25 @@ class TestVersioning:
 
     def test_prune_drops_stale_versions_and_legacy(self, tmp_path):
         ResultCache(str(tmp_path), version=7).put("k1", {"a": 1})
-        # legacy flat file from the pre-sharded layout
-        with open(tmp_path / "v7-old-key.json", "w") as fh:
-            json.dump({"a": 1}, fh)
         cache = ResultCache(str(tmp_path), version=8)
         cache.put("k2", {"a": 2})
         report = cache.prune()
         assert report.stale_versions == 1
         assert report.stale_entries == 1
-        assert report.legacy_files == 1
         assert cache.get("k2") == {"a": 2}
         assert not os.path.exists(tmp_path / "v7")
-        assert not os.path.exists(tmp_path / "v7-old-key.json")
+
+    def test_prune_keeps_files_outside_version_dirs(self, tmp_path):
+        # the cache owns its v<N>/ directories only: a JSON file that
+        # merely sits in the cache root is not an entry and must survive
+        notes = tmp_path / "notes.json"
+        notes.write_text('{"keep": true}')
+        cache = ResultCache(str(tmp_path), version=8)
+        cache.put("k1", {"a": 1})
+        report = cache.prune()
+        assert report.removed == 0
+        assert notes.read_text() == '{"keep": true}'
+        assert cache.get("k1") == {"a": 1}
 
 
 class TestManifest:

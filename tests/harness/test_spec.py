@@ -18,7 +18,6 @@ from repro.harness.spec import (
     load_spec,
     loads_toml,
     paper_matrix_spec,
-    parse_toml_minimal,
     resolve_technique,
     save_spec,
 )
@@ -198,21 +197,8 @@ class TestSpecRoundTrip:
         with pytest.raises(SpecError, match="toml or .json"):
             save_spec(spec, str(tmp_path / "s.yaml"))
 
-    def test_minimal_toml_parser_matches_tomllib(self):
-        # the 3.10 fallback parser must agree with tomllib on everything
-        # the emitter produces (plus comments and multi-line arrays)
-        text = _custom_spec().to_toml()
-        hand_edited = text.replace(
-            'workloads = ["uniform", "pingpong"]',
-            'workloads = [  # the two synthetic checks\n'
-            '  "uniform",\n  "pingpong",\n]',
-        )
-        assert parse_toml_minimal(text) == loads_toml(text)
-        assert parse_toml_minimal(hand_edited) == loads_toml(text)
-
-    def test_minimal_parser_handles_brackets_inside_strings(self):
-        # a lone "[" in a quoted value is data, not an array opener; the
-        # 3.10 fallback must not consume following lines as an array
+    def test_toml_roundtrip_keeps_brackets_inside_strings(self):
+        # a lone "[" in a quoted value is data, not an array opener
         spec = grid_spec(
             name="bracketed",
             description="warmup in [0, 1) as usual",
@@ -221,7 +207,7 @@ class TestSpecRoundTrip:
             techniques=["baseline"],
         )
         text = spec.to_toml()
-        assert ExperimentSpec.from_dict(parse_toml_minimal(text)) == spec
+        assert ExperimentSpec.from_dict(loads_toml(text)) == spec
 
     def test_toml_emitter_escapes_strings(self):
         spec = grid_spec(
@@ -231,10 +217,7 @@ class TestSpecRoundTrip:
             sizes_mb=[1],
             techniques=["baseline"],
         )
-        for parse in (loads_toml, parse_toml_minimal):
-            assert (
-                ExperimentSpec.from_dict(parse(spec.to_toml())) == spec
-            ), parse.__name__
+        assert ExperimentSpec.from_dict(loads_toml(spec.to_toml())) == spec
 
 
 class TestSpecValidation:
@@ -475,11 +458,3 @@ class TestNonBareTechniqueLabels:
         assert '[techniques."decay@16K"]' in text
         assert '[techniques."sel decay.v2"]' in text
         assert load_spec(path) == spec
-
-    def test_minimal_parser_agrees_on_quoted_headers(self):
-        text = self._spec_with_odd_labels().to_toml()
-        assert parse_toml_minimal(text) == loads_toml(text)
-
-    def test_quoted_key_with_dot_is_one_part(self):
-        doc = parse_toml_minimal('[techniques."a.b"]\nx = 1\n')
-        assert doc == {"techniques": {"a.b": {"x": 1}}}

@@ -6,6 +6,8 @@ import json
 import socket
 from concurrent.futures import ThreadPoolExecutor
 
+import pytest
+
 from repro.harness.query import ResultQuery, ResultStore
 from repro.serving import BackgroundServer, ResultService
 
@@ -234,9 +236,19 @@ class TestProtocol:
         finally:
             conn.close()
 
-    def test_malformed_request_line_400s(self, server):
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"NONSENSE\r\n\r\n",
+            # past the stream reader's 64 KiB line limit
+            b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+            b"GET / HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n",
+        ],
+        ids=["garbage", "long_request_line", "long_header_line"],
+    )
+    def test_malformed_request_line_400s(self, server, payload):
         with socket.create_connection(("127.0.0.1", server.port), 10) as s:
-            s.sendall(b"NONSENSE\r\n\r\n")
+            s.sendall(payload)
             data = s.recv(4096)
         assert data.startswith(b"HTTP/1.1 400 ")
 

@@ -4,17 +4,16 @@ An AST scan of ``src/repro`` collects the top-level module of every
 absolute import; modules outside ``sys.stdlib_module_names`` must name
 a requirement in ``pyproject.toml``'s ``[project] dependencies``.
 Imports inside a ``try`` whose handler catches ``ImportError`` (or
-``ModuleNotFoundError``) are optional and exempt.
+``ModuleNotFoundError``) are optional and exempt.  The CI test matrix
+starts at the ``requires-python`` floor, so the oldest interpreter the
+package claims is the oldest one tested.
 """
 
 import ast
 import pathlib
 import re
 import sys
-
-import pytest
-
-tomllib = pytest.importorskip("tomllib")
+import tomllib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
@@ -82,3 +81,17 @@ def test_every_third_party_import_is_declared():
         if module.lower() not in declared
     }
     assert not missing, f"imported but not in pyproject dependencies: {missing}"
+
+
+def _version_key(version: str) -> tuple:
+    return tuple(int(part) for part in version.split("."))
+
+
+def test_ci_test_matrix_starts_at_the_python_floor():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'^requires-python = ">=([\d.]+)"', pyproject, re.M)
+    ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+    matrix = re.search(r"^\s*python-version: \[([^\]]*)\]", ci, re.M)
+    assert floor and matrix, "requires-python or the CI test matrix not found"
+    versions = re.findall(r'"([\d.]+)"', matrix.group(1))
+    assert min(versions, key=_version_key) == floor.group(1)
