@@ -2,7 +2,7 @@
 
 Not a paper figure — runs the same cold-cache matrix through every
 backend (local pool, socket work-stealing with spawned workers, batch
-queue with sliced workers) and reports wall-clock next to the serial
+queue with lease-claiming workers) and reports wall-clock next to the serial
 runner, re-checking that all four produce identical metrics.  The
 interesting number is the *overhead* of each transport over the local
 pool: the socket coordinator adds per-task round trips, the batch

@@ -1,11 +1,6 @@
 """Pluggable sweep-execution backends (see ``docs/architecture.md``)."""
 
-from .base import (
-    SweepBackend,
-    backend_names,
-    make_backend,
-    register_backend,
-)
+from .base import SweepBackend
 from .batch import (
     BatchQueueBackend,
     read_task_file,
@@ -21,11 +16,30 @@ from .lease import (
 from .local import LocalBackend, resolve_jobs
 from .socket_ws import SocketWorkStealingBackend, worker_main
 
+#: ``--backend`` name -> backend class
+BACKENDS = {
+    "local": LocalBackend,
+    "socket": SocketWorkStealingBackend,
+    "batch": BatchQueueBackend,
+}
+
+
+def make_backend(name: str, **options) -> SweepBackend:
+    """Instantiate a built-in backend by name (``options`` go to its class)."""
+    try:
+        factory = BACKENDS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown sweep backend {name!r}; one of: "
+            f"{', '.join(sorted(BACKENDS))}"
+        ) from None
+    return factory(**options)
+
+
 __all__ = [
+    "BACKENDS",
     "SweepBackend",
-    "backend_names",
     "make_backend",
-    "register_backend",
     "BatchQueueBackend",
     "read_task_file",
     "run_batch_worker",

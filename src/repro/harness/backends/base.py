@@ -40,7 +40,7 @@ optional attribute of the protocol: backends without retry machinery
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Protocol, Sequence, Tuple
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 from ..spec import SweepPoint
 
@@ -58,7 +58,7 @@ class SweepBackend(Protocol):
     guide.
     """
 
-    #: registry name, e.g. ``"local"`` (class attribute on implementations)
+    #: ``--backend`` name, e.g. ``"local"`` (class attribute on implementations)
     name: str
 
     def execute(
@@ -73,37 +73,6 @@ class SweepBackend(Protocol):
         ...
 
 
-#: backend registry: name -> zero-config factory
-_REGISTRY: Dict[str, Callable[..., SweepBackend]] = {}
-
-
-def register_backend(name: str, factory: Callable[..., SweepBackend]) -> None:
-    """Register a backend factory under a ``--backend`` name."""
-    _REGISTRY[name] = factory
-
-
-def backend_names() -> Tuple[str, ...]:
-    """Registered backend names, sorted (for help text and errors)."""
-    return tuple(sorted(_REGISTRY))
-
-
-def make_backend(name: str, **options) -> SweepBackend:
-    """Instantiate a registered backend by name.
-
-    ``options`` are passed to the backend factory; unknown names raise
-    ``ValueError`` listing what is available.
-    """
-    _ensure_builtins()
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown sweep backend {name!r}; one of: "
-            f"{', '.join(backend_names())}"
-        ) from None
-    return factory(**options)
-
-
 def default_worker_id() -> str:
     """Default worker identity (host-pid), shared by every backend."""
     import os
@@ -111,7 +80,3 @@ def default_worker_id() -> str:
 
     return f"{socket.gethostname()}-{os.getpid()}"
 
-
-def _ensure_builtins() -> None:
-    """Import the built-in backend modules so they self-register."""
-    from . import batch, local, socket_ws  # noqa: F401

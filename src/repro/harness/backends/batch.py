@@ -25,15 +25,15 @@ to a serial sweep.
 
 Workers (``repro-cmp work --queue-dir DIR`` anywhere the directory is
 synced) *claim* points through the lease files of
-:mod:`~repro.harness.backends.lease` instead of owning a static slice:
-each worker sweeps the task list, atomically claims the next unowned
-point, renews the lease's mtime while simulating, and releases it after
-publishing into its own shard.  A worker that dies mid-point leaves a
-lease that stops being renewed; once it is ``lease_timeout`` stale, any
-live worker reclaims it — the ROADMAP's "dynamic re-slicing", as a
-filesystem protocol.  ``--slice i/n`` survives as a *preference*: the
-worker claims its slice first and steals the rest, so an evenly-started
-fleet partitions exactly as before while a lopsided one rebalances.
+:mod:`~repro.harness.backends.lease`: each worker walks the task list
+in plan order, atomically claims the next point no live lease holds
+(skipping held ones, as socket pullers do), renews the lease's mtime
+while simulating, and releases it after publishing into its own shard.
+A worker that dies mid-point leaves a lease that stops being renewed;
+once it is ``lease_timeout`` stale, any live worker reclaims it.  After
+the run the coordinator replays the workers' claim/complete ledgers
+through a :class:`~repro.harness.backends.lease.LeaseTable` into the
+campaign report.
 
 Ingest is idempotent and crash-tolerant by construction: already-present
 entries are skipped after a byte comparison, manifest rows whose blob
@@ -48,23 +48,19 @@ import json
 import multiprocessing
 import os
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import List, Optional, Sequence, Tuple
 
-from ..campaign import CampaignReport, PointRecord
-from ..faults import (
-    KILL_EXIT_CODE,
-    FaultInjector,
-    PlanLike,
-    backoff_seconds,
-    coerce_plan,
-)
+from ..campaign import CampaignReport
+from ..faults import FaultInjector, PlanLike, backoff_seconds, coerce_plan
 from ..result_cache import MergeReport, ResultCache, atomic_write
 from ..runner import CACHE_VERSION, SweepRunner, decode_entry
 from ..spec import SweepPoint
-from .base import default_worker_id, register_backend
+from .base import default_worker_id
 from .lease import (
     DEFAULT_LEASE_TIMEOUT,
-    LeaseRenewer,
+    LeaseTable,
+    Renewer,
     claim_lease,
     lease_age,
     lease_path,
@@ -72,6 +68,7 @@ from .lease import (
     read_events,
     read_lease,
     release_lease,
+    renew_lease,
 )
 
 #: task-file name inside the queue directory
@@ -153,21 +150,17 @@ def _settled_elsewhere(queue_dir: str, worker_id: str, key: str) -> bool:
 def run_batch_worker(
     queue_dir: str,
     worker_id: Optional[str] = None,
-    task_slice: Tuple[int, int] = (0, 1),
     lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
     fault_plan: Optional[dict] = None,
 ) -> int:
     """Work the queue's task file until every point is settled somewhere.
 
     Points are claimed through lease files, so any number of workers may
-    run this concurrently (or join late): each point is simulated by
-    whoever claims it, a claim is renewed while the simulation runs, and
-    a dead worker's stale claim is reclaimed by the survivors.
-    ``task_slice`` ``(i, n)`` is an ordering *preference* — this worker
-    tries to claim every n-th point starting at ``i`` before stealing
-    the rest — which keeps an evenly-matched fleet partitioned exactly
-    like the old static slicing, without stranding a dead worker's
-    share.
+    run this concurrently (or join late): each walks the task list in
+    plan order and skips points a live lease holds, each point is
+    simulated by whoever claims it, a claim is renewed while the
+    simulation runs, and a dead worker's stale claim is reclaimed by the
+    survivors.
 
     ``fault_plan`` (dict form of a
     :class:`~repro.harness.faults.FaultPlan`) drives the chaos tests:
@@ -179,9 +172,6 @@ def run_batch_worker(
     are free).
     """
     payload = read_task_file(queue_dir)
-    index, modulus = task_slice
-    if not (0 <= index < modulus):
-        raise ValueError(f"task slice {index}/{modulus} out of range")
     wid = worker_id or default_worker_id()
     injector = FaultInjector(fault_plan, wid)
     runner = SweepRunner(
@@ -191,17 +181,13 @@ def run_batch_worker(
     )
     runner.backend_label = "batch"
     runner.worker_id = wid
-    points = payload["points"]
-    preferred = points[index::modulus]
-    stolen = [p for i, p in enumerate(points) if (i - index) % modulus != 0]
-    ordered = preferred + stolen
     renew_interval = max(0.05, lease_timeout / 4.0)
     done = 0
     idle_rounds = 0
     while True:
         progressed = False
         contended = False
-        for point in ordered:
+        for point in payload["points"]:
             if runner.lookup(point) is not None:
                 continue
             key = runner.point_key(point)
@@ -222,25 +208,19 @@ def run_batch_worker(
                     "t": time.time(),
                 },
             )
-            action = injector.on_task()
-            if action is not None and action.kind == "kill":
-                os._exit(KILL_EXIT_CODE)  # lease left to go stale
-            if action is not None and action.kind == "hang":
-                # wedge without renewing: the lease goes stale and the
-                # point migrates to a live worker
-                if action.seconds > 0:
-                    time.sleep(action.seconds)
-                    contended = True
-                    continue
-                while True:  # wedge until torn down
-                    time.sleep(3600)
-            if action is not None and action.kind == "drop":
-                # connectionless analogue of a dropped connection:
-                # abandon the claim immediately
-                release_lease(queue_dir, key, wid)
+            # a kill exits and leaves the lease to go stale; a timed hang
+            # sleeps without renewing (the point migrates to a live
+            # worker), then re-scans; a drop, the connectionless analogue
+            # of a dropped connection, abandons the claim at once
+            fault = injector.apply_receipt()
+            if fault is not None:
+                if fault == "drop":
+                    release_lease(queue_dir, key, wid)
                 contended = True
                 continue
-            renewer = LeaseRenewer(queue_dir, key, wid, renew_interval)
+            renewer = Renewer(
+                partial(renew_lease, queue_dir, key, wid), renew_interval
+            )
             renewer.start()
             try:
                 runner.run_point(point)
@@ -416,41 +396,36 @@ class BatchQueueBackend:
     def _campaign_report(
         self, runner: SweepRunner, pending: Sequence[SweepPoint]
     ) -> CampaignReport:
-        """Aggregate the workers' event ledgers into a campaign report."""
-        claims: Dict[str, int] = {}
-        reclaims: Dict[str, List[str]] = {}
-        producers: Dict[str, str] = {}
+        """Replay the workers' event ledgers through a :class:`LeaseTable`.
+
+        Ledgers are read in worker-name order; the replay sorts their
+        events by time stamp, so a reclaim follows the claim it broke.
+        A completion counts once its result is installed.
+        """
+        by_key = {runner.point_key(point): point for point in pending}
+        table = LeaseTable(pending, self.lease_timeout)
         stats = {"claims": 0, "reclaimed": 0, "completions": 0}
-        for event in read_events(self.queue_dir):
-            digest = str(event.get("digest", ""))
+
+        def stamp(event: dict) -> float:
+            t = event.get("t")
+            return t if isinstance(t, (int, float)) else 0.0
+
+        for event in sorted(read_events(self.queue_dir), key=stamp):
+            point = by_key.get(event.get("digest"))
+            if point is None:
+                continue
             worker = str(event.get("worker", "?"))
             if event.get("event") == "claim":
-                claims[digest] = claims.get(digest, 0) + 1
                 stats["claims"] += 1
                 if event.get("kind") == "reclaimed":
                     stats["reclaimed"] += 1
-                    reclaims.setdefault(digest, []).append(
-                        f"stale lease reclaimed by {worker}"
-                    )
+                    table.requeue(point, f"stale lease reclaimed by {worker}")
+                table.claim(worker, stamp(event), point)
             elif event.get("event") == "complete":
                 stats["completions"] += 1
-                producers.setdefault(digest, worker)
-        records = []
-        for point in pending:
-            key = runner.point_key(point)
-            completed = runner.lookup(point) is not None
-            records.append(
-                PointRecord(
-                    point=point.describe(),
-                    digest=point.digest(),
-                    status="completed" if completed else "pending",
-                    attempts=claims.get(key, 0),
-                    requeues=len(reclaims.get(key, ())),
-                    reasons=list(reclaims.get(key, ())),
-                    worker=producers.get(key),
-                )
-            )
-        return CampaignReport(backend="batch", records=records, stats=stats)
+                if runner.lookup(point) is not None:
+                    table.complete(point, worker)
+        return table.report("batch", stats)
 
     def _spawn_and_wait(
         self, deadline: Optional[float]
@@ -470,7 +445,6 @@ class BatchQueueBackend:
                 args=(self.queue_dir,),
                 kwargs={
                     "worker_id": f"batch-{i}",
-                    "task_slice": (i, self.spawn_workers),
                     "lease_timeout": self.lease_timeout,
                     "fault_plan": plan_dict,
                 },
@@ -566,5 +540,3 @@ class BatchQueueBackend:
             time.sleep(backoff_seconds(idle_rounds, base=1.0, cap=8.0))
             idle_rounds += 1
 
-
-register_backend("batch", BatchQueueBackend)

@@ -21,7 +21,6 @@ from typing import Optional, Sequence, Tuple
 
 from ..runner import SweepRunner, decode_entry, encode_entry
 from ..spec import SweepPoint
-from .base import register_backend
 
 #: per-worker serial runner, created once by the pool initializer
 _WORKER_RUNNER: Optional[SweepRunner] = None
@@ -119,5 +118,3 @@ class LocalBackend:
                     )
         return len(pending)
 
-
-register_backend("local", LocalBackend)

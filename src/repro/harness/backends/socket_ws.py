@@ -32,7 +32,9 @@ worker ship in one package, so a worker accepts a protocol-3 welcome
 only.  The fault-tolerance pass:
 
 * **Deadline leases** — every served task carries a lease of
-  ``lease_timeout`` seconds; a worker's heartbeat thread renews it
+  ``lease_timeout`` seconds in the coordinator's
+  :class:`~repro.harness.backends.lease.LeaseTable`; a worker's
+  :class:`~repro.harness.backends.lease.Renewer` renews it by heartbeat
   mid-simulation.  A hung-but-connected worker stops heartbeating, its
   lease expires, and the coordinator requeues the point (with attempt
   accounting) instead of waiting on a TCP close that never comes.
@@ -42,8 +44,8 @@ only.  The fault-tolerance pass:
 * **Reconnect** — workers survive a coordinator restart by redialing
   with jittered exponential backoff before giving up.
 * **Corrupt-result rejection** — an undecodable result payload is
-  rejected and the point requeued; garbage on the wire costs one retry,
-  never the coordinator.
+  rejected and, if its sender still holds the lease, the point
+  requeued; garbage on the wire costs one retry, never the coordinator.
 
 Workers rebuild their runner from the coordinator's ``params`` and the
 point from its canonical dict, so a remote shell needs no flags beyond
@@ -58,36 +60,26 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 import random
 import socket
 import socketserver
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..campaign import CampaignReport, PointRecord
-from ..faults import (
-    KILL_EXIT_CODE,
-    FaultInjector,
-    PlanLike,
-    backoff_seconds,
-    coerce_plan,
-)
+from ..campaign import CampaignReport
+from ..faults import FaultInjector, PlanLike, backoff_seconds, coerce_plan
 from ..runner import SweepRunner, decode_entry, encode_entry
 from ..spec import SweepPoint
-from .base import default_worker_id, register_backend
+from .base import default_worker_id
+from .lease import DEFAULT_LEASE_TIMEOUT, LeaseTable, Renewer
 
 #: protocol version sent in the welcome message (3 = leases/heartbeats)
 PROTO_VERSION = 3
 
 #: how many times a point may be attempted before the sweep fails
 DEFAULT_MAX_ATTEMPTS = 3
-
-#: seconds a served task's lease lasts without a heartbeat renewal
-DEFAULT_LEASE_TIMEOUT = 60.0
 
 #: floor of the coordinator's idle-wait advice
 WAIT_SECONDS = 0.1
@@ -129,14 +121,6 @@ def _recv(rfile):
 def _point_of(msg: dict) -> SweepPoint:
     """Rebuild the wire point (canonical dict) as a :class:`SweepPoint`."""
     return SweepPoint.from_dict(msg["point"])
-
-
-@dataclass
-class _Lease:
-    """One outstanding task: who holds it and when it expires."""
-
-    worker: str
-    deadline: float
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -209,8 +193,8 @@ class _Handler(socketserver.StreamRequestHandler):
                         server.note_rejected(worker, "undecodable point")
                         _send(self.wfile, {"op": "ack"})
                         continue
-                    server.task_failed(
-                        point, str(msg.get("message", "")), worker
+                    server.release(
+                        point, f"{worker}: {msg.get('message', '')}", worker
                     )
                     if leased == point:
                         leased = None
@@ -224,13 +208,11 @@ class _Handler(socketserver.StreamRequestHandler):
         finally:
             server.connection_closed()
             if leased is not None:
-                server.requeue(
-                    leased, f"worker {worker} disconnected", worker=worker
-                )
+                server.release(leased, f"worker {worker} disconnected", worker)
 
 
 class _TaskServer(socketserver.ThreadingTCPServer):
-    """Coordinator state: the queue, leases, retries, and installation."""
+    """Coordinator state: the lease table, its clock, and installation."""
 
     daemon_threads = True
     allow_reuse_address = True
@@ -246,23 +228,14 @@ class _TaskServer(socketserver.ThreadingTCPServer):
         super().__init__(address, _Handler)
         self.runner = runner
         self.params = runner.runner_params(cache_dir=None)
-        self.points = list(pending)
-        self.total = len(self.points)
-        self.max_attempts = max_attempts
         self.lease_timeout = float(lease_timeout)
         #: what workers are told to heartbeat at (several renewals per
         #: lease window, floored so tiny test timeouts still renew)
         self.heartbeat_interval = max(0.05, self.lease_timeout / 4.0)
         self._lock = threading.Lock()
-        self._queue: deque = deque(self.points)
-        self._attempts: Dict[SweepPoint, int] = {}
-        self._requeues: Dict[SweepPoint, int] = {}
-        self._reasons: Dict[SweepPoint, List[str]] = {}
-        self._producers: Dict[SweepPoint, str] = {}
-        self._leases: Dict[SweepPoint, _Lease] = {}
+        #: every point's lease state, driven under ``_lock``
+        self.table = LeaseTable(pending, self.lease_timeout, max_attempts)
         self._wait_streaks: Dict[str, int] = {}
-        self._completed: set = set()
-        self.failures: Dict[SweepPoint, str] = {}
         self.finished = threading.Event()
         #: currently connected workers (spawned or external)
         self.active_connections = 0
@@ -275,8 +248,7 @@ class _TaskServer(socketserver.ThreadingTCPServer):
             "rejected": 0,
             "heartbeats": 0,
         }
-        if not self.points:
-            self.finished.set()
+        self._check_finished()
 
     # ------------------------------------------------------------------
     def connection_opened(self) -> None:
@@ -294,9 +266,10 @@ class _TaskServer(socketserver.ThreadingTCPServer):
         """Hand the next queued point to ``worker`` (or wait/done)."""
         self.reap_expired()
         with self._lock:
-            if self._done_locked():
+            if self.table.done:
                 return {"op": "done"}, None
-            if not self._queue:
+            point = self.table.claim(worker, time.monotonic())
+            if point is None:
                 streak = self._wait_streaks.get(worker, 0)
                 self._wait_streaks[worker] = streak + 1
                 # deterministic per-(worker, streak) jitter: advice is
@@ -310,62 +283,66 @@ class _TaskServer(socketserver.ThreadingTCPServer):
                 )
                 return {"op": "wait", "seconds": round(seconds, 4)}, None
             self._wait_streaks.pop(worker, None)
-            point = self._queue.popleft()
-            self._attempts[point] = self._attempts.get(point, 0) + 1
-            self._leases[point] = _Lease(
-                worker, time.monotonic() + self.lease_timeout
-            )
             self.stats["served"] += 1
             return {"op": "task", "point": point.to_dict()}, point
 
     def heartbeat(self, worker: str, point: SweepPoint) -> None:
         """Renew ``worker``'s lease on ``point`` (ignore stale claims)."""
         with self._lock:
-            lease = self._leases.get(point)
-            if lease is not None and lease.worker == worker:
-                lease.deadline = time.monotonic() + self.lease_timeout
+            if self.table.renew(point, worker, time.monotonic()):
                 self.stats["heartbeats"] += 1
 
     def reap_expired(self) -> None:
         """Requeue every lease whose deadline has passed."""
-        now = time.monotonic()
-        expired: List[Tuple[SweepPoint, str]] = []
         with self._lock:
-            for point, lease in list(self._leases.items()):
-                if lease.deadline <= now:
-                    del self._leases[point]
-                    expired.append((point, lease.worker))
-        for point, worker in expired:
-            self._requeue_detached(
-                point,
-                f"lease expired after {self.lease_timeout:.1f}s "
-                f"(worker {worker} silent)",
-                counter="expired",
-            )
+            lapsed = len(self.table.expired(time.monotonic()))
+            self.stats["requeued"] += lapsed
+            self.stats["expired"] += lapsed
+        self._check_finished()
+
+    def release(
+        self,
+        point: SweepPoint,
+        reason: str,
+        worker: str,
+        counter: Optional[str] = None,
+    ) -> None:
+        """Requeue ``point`` if ``worker`` still holds its lease.
+
+        ``counter`` names a stat that counts the requeue besides
+        ``requeued``.
+        """
+        with self._lock:
+            if self.table.requeue(point, reason, worker):
+                self.stats["requeued"] += 1
+                if counter is not None:
+                    self.stats[counter] += 1
+        self._check_finished()
 
     def complete(self, point: SweepPoint, msg: dict, worker: str) -> bool:
         """Install one streamed result (idempotently) and mark it done.
 
-        Returns ``False`` — after requeueing the point — when the
-        payload does not decode as a cache entry: a corrupt result must
-        cost one retry, not the coordinator process.
+        Returns ``False`` — after requeueing the point, if ``worker``
+        still holds its lease — when the payload does not decode as a
+        cache entry: a corrupt result must cost one retry, not the
+        coordinator process.
         """
         try:
             res, energy = decode_entry(
                 {"result": msg["result"], "energy": msg["energy"]}
             )
         except Exception as exc:
-            self.reject(point, worker, f"corrupt result payload ({exc!r})")
+            self.release(
+                point,
+                f"corrupt result payload ({exc!r}) from {worker}",
+                worker,
+                counter="rejected",
+            )
             return False
         with self._lock:
-            duplicate = point in self._completed
+            duplicate = not self.table.complete(point, worker)
             if duplicate:
                 self.stats["duplicates"] += 1
-            self._completed.add(point)
-            self._leases.pop(point, None)
-            self.failures.pop(point, None)
-            if not duplicate:
-                self._producers[point] = worker
         # install outside the lock: determinism makes re-installation of a
         # duplicate byte-identical, so ordering between racers is moot —
         # but provenance (worker name, timestamp) is NOT byte-identical
@@ -384,42 +361,15 @@ class _TaskServer(socketserver.ThreadingTCPServer):
             ),
         )
         if self.runner.verbose and not duplicate:
+            records = self.table.records.values()
+            completed = sum(r.status == "completed" for r in records)
             print(
-                f"[sweep:socket] {len(self._completed)}/{self.total} done: "
+                f"[sweep:socket] {completed}/{len(records)} done: "
                 f"{point.describe()} ({worker})",
                 flush=True,
             )
         self._check_finished()
         return True
-
-    def requeue(
-        self, point: SweepPoint, reason: str, worker: Optional[str] = None
-    ) -> None:
-        """Return a leased point to the queue after a worker loss.
-
-        With ``worker`` given, the requeue only happens if that worker
-        still holds the lease — a disconnect observed *after* the lease
-        already expired (and was requeued, and possibly re-served to
-        someone else) must not requeue the point a second time.
-        """
-        with self._lock:
-            lease = self._leases.get(point)
-            if lease is None and worker is not None:
-                return  # lease already expired/completed: nothing to do
-            if worker is not None and lease.worker != worker:
-                return  # someone else holds it now
-            self._leases.pop(point, None)
-        self._requeue_detached(point, reason)
-
-    def reject(self, point: SweepPoint, worker: str, reason: str) -> None:
-        """Requeue a point whose result payload was undecodable."""
-        with self._lock:
-            lease = self._leases.get(point)
-            if lease is not None and lease.worker == worker:
-                del self._leases[point]
-        self._requeue_detached(
-            point, f"{reason} from {worker}", counter="rejected"
-        )
 
     def note_rejected(self, worker: str, reason: str) -> None:
         """Count a protocol-level rejection not tied to a known point."""
@@ -428,115 +378,15 @@ class _TaskServer(socketserver.ThreadingTCPServer):
         if self.runner.verbose:
             print(f"[sweep:socket] rejected {worker}: {reason}", flush=True)
 
-    def task_failed(self, point: SweepPoint, message: str, worker: str) -> None:
-        """A worker reported a simulation error for ``point``."""
-        self.requeue(point, f"{worker}: {message}", worker=worker)
-
-    def _requeue_detached(
-        self, point: SweepPoint, reason: str, counter: str = "requeued"
-    ) -> None:
-        """Queue a point whose lease is already removed (or never taken)."""
-        with self._lock:
-            if point in self._completed or point in self.failures:
-                return
-            if point in self._queue:
-                return  # already waiting: never double-queue
-            self._reasons.setdefault(point, []).append(reason)
-            if self._attempts.get(point, 0) >= self.max_attempts:
-                self.failures[point] = reason
-            else:
-                self._queue.append(point)
-                self._requeues[point] = self._requeues.get(point, 0) + 1
-                self.stats["requeued"] += 1
-                if counter != "requeued":
-                    self.stats[counter] += 1
-        self._check_finished()
-
-    # ------------------------------------------------------------------
     def campaign_report(self) -> CampaignReport:
-        """Snapshot the per-point ledger as a :class:`CampaignReport`."""
+        """Snapshot the lease table as a :class:`CampaignReport`."""
         with self._lock:
-            records = []
-            for point in self.points:
-                if point in self._completed:
-                    status = "completed"
-                elif point in self.failures:
-                    status = "failed"
-                else:
-                    status = "pending"
-                records.append(
-                    PointRecord(
-                        point=point.describe(),
-                        digest=point.digest(),
-                        status=status,
-                        attempts=self._attempts.get(point, 0),
-                        requeues=self._requeues.get(point, 0),
-                        reasons=list(self._reasons.get(point, ())),
-                        worker=self._producers.get(point),
-                    )
-                )
-            stats = dict(self.stats)
-        return CampaignReport(backend="socket", records=records, stats=stats)
-
-    # ------------------------------------------------------------------
-    def _done_locked(self) -> bool:
-        return len(self._completed) + len(self.failures) >= self.total
+            return self.table.report("socket", self.stats)
 
     def _check_finished(self) -> None:
         with self._lock:
-            if self._done_locked():
+            if self.table.done:
                 self.finished.set()
-
-
-class _HeartbeatPump(threading.Thread):
-    """Worker-side daemon that renews the lease of the point in flight.
-
-    The pump shares the connection's write lock with the main loop but
-    its messages are one-way (the coordinator never answers a
-    heartbeat), so the main loop's strict send→reply alternation is
-    untouched.  ``watch``/``clear`` bracket each simulation; a hang
-    fault calls ``clear`` first, which is exactly what distinguishes a
-    wedged process (no heartbeats → lease expires) from a merely slow
-    one (heartbeats carry the lease).
-    """
-
-    def __init__(self, send, interval: float) -> None:
-        super().__init__(daemon=True)
-        self._send = send
-        self.interval = interval
-        self._lock = threading.Lock()
-        self._point: Optional[dict] = None
-        self._worker = ""
-        self._stop = threading.Event()
-
-    def watch(self, worker: str, point: dict) -> None:
-        """Start renewing the lease on ``point``."""
-        with self._lock:
-            self._worker = worker
-            self._point = point
-
-    def clear(self) -> None:
-        """Stop renewing (simulation finished, or a hang fault fired)."""
-        with self._lock:
-            self._point = None
-
-    def shutdown(self) -> None:
-        """Terminate the pump (connection teardown)."""
-        self._stop.set()
-
-    def run(self) -> None:
-        """Send one heartbeat per interval while a point is watched."""
-        while not self._stop.wait(self.interval):
-            with self._lock:
-                point, worker = self._point, self._worker
-            if point is None:
-                continue
-            try:
-                self._send(
-                    {"op": "heartbeat", "worker": worker, "point": point}
-                )
-            except OSError:
-                return  # connection is gone: the main loop handles it
 
 
 def _worker_session(
@@ -547,8 +397,9 @@ def _worker_session(
 ) -> str:
     """Run one connection's pull loop; ``"done"`` or ``"lost"``.
 
-    ``state`` persists across reconnects: the rebuilt runner and the
-    received-task counter (which the fault plan's ordinals index).
+    ``state`` persists across reconnects: it holds the rebuilt runner.
+    The fault plan's ordinals index ``injector.tasks_received``, which
+    persists with the injector.
     """
     write_lock = threading.Lock()
     with sock, sock.makefile("rb") as rfile, sock.makefile("wb") as wfile:
@@ -556,6 +407,12 @@ def _worker_session(
         def send(obj: dict) -> None:
             with write_lock:
                 _send(wfile, obj)
+
+        def heartbeat(point: dict) -> bool:
+            # one-way: the coordinator never answers a heartbeat, so the
+            # main loop's strict send→reply alternation is untouched
+            send({"op": "heartbeat", "worker": name, "point": point})
+            return True
 
         send({"op": "hello", "worker": name})
         welcome = _recv(rfile)
@@ -569,88 +426,60 @@ def _worker_session(
                 f"this worker speaks {PROTO_VERSION}"
             )
         params = welcome["params"]
-        pump = _HeartbeatPump(send, float(welcome["heartbeat_interval"]))
-        pump.start()
-        try:
-            while True:
-                send({"op": "get"})
-                msg = _recv(rfile)
-                if msg is None or msg is _MALFORMED:
-                    return "lost"
-                if msg.get("op") == "done":
-                    return "done"
-                if msg.get("op") == "wait":
-                    time.sleep(float(msg["seconds"]))
-                    continue
-                if msg.get("op") != "task":
-                    raise RuntimeError(
-                        f"unexpected coordinator message: {msg!r}"
-                    )
-                point = _point_of(msg)
-                state["received"] += 1
-                action = injector.on_task()
-                if action is not None and action.kind == "kill":
-                    os._exit(KILL_EXIT_CODE)
-                if action is not None and action.kind == "drop":
-                    return "lost"  # the with-block slams the socket shut
-                if action is not None and action.kind == "hang":
-                    # a wedged process heartbeats nothing: the lease
-                    # must expire and the point migrate
-                    pump.clear()
-                    if action.seconds > 0:
-                        time.sleep(action.seconds)
-                    else:
-                        while True:  # wedge until torn down
-                            time.sleep(3600)
-                pump.watch(name, msg["point"])
-                if state["runner"] is None:
-                    state["runner"] = SweepRunner(verbose=False, **params)
-                runner: SweepRunner = state["runner"]
-                try:
-                    res, energy = runner.run_point(point)
-                except Exception as exc:
-                    pump.clear()
-                    send(
-                        {
-                            "op": "error",
-                            "point": point.to_dict(),
-                            "message": str(exc),
-                        }
-                    )
+        interval = float(welcome["heartbeat_interval"])
+        while True:
+            send({"op": "get"})
+            msg = _recv(rfile)
+            if msg is None or msg is _MALFORMED:
+                return "lost"
+            if msg.get("op") == "done":
+                return "done"
+            if msg.get("op") == "wait":
+                time.sleep(float(msg["seconds"]))
+                continue
+            if msg.get("op") != "task":
+                raise RuntimeError(f"unexpected coordinator message: {msg!r}")
+            point = _point_of(msg)
+            # a hang wedges before the renewer starts: a wedged process
+            # heartbeats nothing, so its lease must expire and the point
+            # migrate; after a timed hang the worker runs the point
+            if injector.apply_receipt() == "drop":
+                return "lost"  # the with-block slams the socket shut
+            renewer = Renewer(partial(heartbeat, msg["point"]), interval)
+            renewer.start()
+            try:
+                for reply in _outbox(state, params, point, injector):
+                    send(reply)
                     if _recv(rfile) is None:
                         return "lost"
-                    continue
-                delivery = injector.on_delivery()
-                blob = encode_entry(res, energy)
-                result_msg = {
-                    "op": "result",
-                    "point": point.to_dict(),
-                    "result": blob["result"],
-                    "energy": blob["energy"],
-                }
-                if delivery is not None and delivery.kind == "delay":
-                    # slow, not wedged: the pump keeps the lease alive
-                    time.sleep(delivery.seconds)
-                if delivery is not None and delivery.kind == "corrupt":
-                    send(
-                        {
-                            "op": "result",
-                            "point": point.to_dict(),
-                            "result": {"__corrupt__": True},
-                            "energy": {},
-                        }
-                    )
-                else:
-                    send(result_msg)
-                if _recv(rfile) is None:
-                    return "lost"
-                if delivery is not None and delivery.kind == "duplicate":
-                    send(result_msg)
-                    if _recv(rfile) is None:
-                        return "lost"
-                pump.clear()
-        finally:
-            pump.shutdown()
+            finally:
+                renewer.shutdown()
+
+
+def _outbox(
+    state: dict, params: dict, point: SweepPoint, injector: FaultInjector
+) -> List[dict]:
+    """Simulate ``point``; the messages that report it, each answered once.
+
+    A scripted delivery fault corrupts the result, sends it twice, or
+    delays it (the caller's renewer carries the lease: slow, not wedged).
+    """
+    if state["runner"] is None:
+        state["runner"] = SweepRunner(verbose=False, **params)
+    try:
+        res, energy = state["runner"].run_point(point)
+    except Exception as exc:
+        return [{"op": "error", "point": point.to_dict(), "message": str(exc)}]
+    result_msg = {"op": "result", "point": point.to_dict(), **encode_entry(res, energy)}
+    delivery = injector.on_delivery()
+    kind = delivery.kind if delivery is not None else None
+    if kind == "delay":
+        time.sleep(delivery.seconds)
+    if kind == "corrupt":
+        return [dict(result_msg, result={"__corrupt__": True}, energy={})]
+    if kind == "duplicate":
+        return [result_msg, result_msg]
+    return [result_msg]
 
 
 def worker_main(
@@ -674,7 +503,7 @@ def worker_main(
     """
     name = worker_name or default_worker_id()
     injector = FaultInjector(fault_plan, name)
-    state = {"runner": None, "received": 0}
+    state = {"runner": None}
     failures = 0
     while True:
         try:
@@ -803,14 +632,12 @@ class SocketWorkStealingBackend:
                     proc.join(timeout=5)
             self.last_stats = dict(server.stats)
             self.last_report = server.campaign_report()
-        if server.failures:
-            lost = ", ".join(
-                f"{point.describe()} ({why})"
-                for point, why in sorted(
-                    server.failures.items(), key=lambda kv: kv[0].triple
-                )
+        lost = [r for r in self.last_report.records if r.status == "failed"]
+        if lost:
+            raise RuntimeError(
+                "sweep points failed on every attempt: "
+                + ", ".join(f"{r.point} ({r.reasons[-1]})" for r in lost)
             )
-            raise RuntimeError(f"sweep points failed on every attempt: {lost}")
         if outcome == "starved":
             raise RuntimeError(
                 f"all {self.spawn_workers} spawned workers exited and no "
@@ -864,5 +691,3 @@ class SocketWorkStealingBackend:
         """How many of ``pending`` the runner still cannot serve."""
         return sum(1 for point in pending if runner.lookup(point) is None)
 
-
-register_backend("socket", SocketWorkStealingBackend)

@@ -36,7 +36,7 @@ Distributed sweeps (see ``docs/architecture.md``)::
     repro-cmp work 127.0.0.1:7777                  # a socket worker shell
     repro-cmp serve --port 7777 --jobs 2           # coordinator, no figure
     repro-cmp fig5a --backend batch --queue-dir q  # task file + ingest
-    repro-cmp work --queue-dir q --slice 0/2       # a batch worker shell
+    repro-cmp work --queue-dir q                   # a batch worker shell
     repro-cmp run specs/smoke.toml --backend socket --lease-timeout 30
     repro-cmp run specs/paper_matrix.toml --resume # report cached/missing
     repro-cmp run s.toml --backend batch --fault-plan chaos.json  # chaos
@@ -65,12 +65,14 @@ from __future__ import annotations
 
 import argparse
 import glob
+import os
 import sys
 from typing import List, Optional, Tuple
 
 from ..sim.config import PAPER_TOTAL_L2_MB
-from ..workloads.registry import PAPER_BENCHMARKS, list_workloads
+from ..workloads.registry import PAPER_BENCHMARKS, check_workload, list_workloads
 from .backends import (
+    BACKENDS,
     DEFAULT_LEASE_TIMEOUT,
     BatchQueueBackend,
     SocketWorkStealingBackend,
@@ -156,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--backend",
-        choices=("local", "socket", "batch"),
+        choices=tuple(BACKENDS),
         default="local",
         help="sweep execution backend (default local; socket = TCP "
         "work-stealing coordinator, batch = task file + shard ingest)",
@@ -198,10 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--lease-timeout",
         type=float,
-        default=None,
+        default=DEFAULT_LEASE_TIMEOUT,
         metavar="SECONDS",
         help="socket/batch backend: requeue a worker's point after this "
-        "long without a heartbeat/lease renewal (default 60)",
+        "long without a heartbeat/lease renewal (default %(default)g)",
     )
     p.add_argument(
         "--resume",
@@ -217,14 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="socket/batch backend and workers: inject the failures "
         "scripted in this FaultPlan JSON file (chaos testing)",
-    )
-    p.add_argument(
-        "--slice",
-        dest="task_slice",
-        type=str,
-        default="0/1",
-        metavar="I/N",
-        help="batch worker: claim every N-th task starting at I",
     )
     p.add_argument(
         "--worker-id",
@@ -315,6 +309,9 @@ def _cache_command(args: argparse.Namespace) -> int:
         if len(args.args) != 2:
             print("usage: repro-cmp cache merge <source-dir>", file=sys.stderr)
             return 2
+        if not os.path.isdir(args.args[1]):
+            print(f"cache merge: {args.args[1]}: not a directory", file=sys.stderr)
+            return 1
         print(cache.import_entries(args.args[1]).render())
         return 0
     print(
@@ -340,18 +337,13 @@ def _distributed_backend(
     """Socket/batch backend per the CLI flags; ``None`` means local."""
     name = name or args.backend
     spawn = 0 if args.wait else resolve_jobs(args.jobs)
-    lease = (
-        args.lease_timeout
-        if args.lease_timeout is not None
-        else DEFAULT_LEASE_TIMEOUT
-    )
     if name == "socket":
         return SocketWorkStealingBackend(
             host=args.bind,
             port=args.port,
             spawn_workers=spawn,
             timeout=args.timeout,
-            lease_timeout=lease,
+            lease_timeout=args.lease_timeout,
             fault_plan=_load_fault_plan(args),
         )
     if name == "batch":
@@ -359,7 +351,7 @@ def _distributed_backend(
             queue_dir=args.queue_dir,
             spawn_workers=spawn,
             timeout=args.timeout,
-            lease_timeout=lease,
+            lease_timeout=args.lease_timeout,
             fault_plan=_load_fault_plan(args),
         )
     return None
@@ -411,7 +403,8 @@ def make_runner(
 def _matrix_from_args(args: argparse.Namespace) -> Tuple[List[str], List[int]]:
     """Resolve the (benchmarks, sizes) selection flags.
 
-    A malformed ``--sizes`` value prints one error line and exits 2.
+    A malformed ``--sizes`` value or an unknown benchmark prints one
+    error line and exits 2.
     """
     try:
         sizes = (
@@ -428,6 +421,12 @@ def _matrix_from_args(args: argparse.Namespace) -> Tuple[List[str], List[int]]:
     benchmarks = (
         args.benchmarks.split(",") if args.benchmarks else list(PAPER_BENCHMARKS)
     )
+    try:
+        for name in benchmarks:
+            check_workload(name)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        raise SystemExit(2) from None
     return benchmarks, sizes
 
 
@@ -1057,15 +1056,6 @@ def _trace_command(args: argparse.Namespace) -> int:
     return 2
 
 
-def _parse_slice(text: str) -> Tuple[int, int]:
-    """Parse a ``--slice I/N`` value."""
-    try:
-        index, modulus = text.split("/", 1)
-        return int(index), int(modulus)
-    except ValueError:
-        raise SystemExit(f"bad --slice {text!r}; expected I/N, e.g. 0/2")
-
-
 def _work_command(args: argparse.Namespace) -> int:
     """Run one worker: socket (``work host:port``) or batch (``--queue-dir``)."""
     plan = _load_fault_plan(args)
@@ -1089,7 +1079,7 @@ def _work_command(args: argparse.Namespace) -> int:
     if args.args:
         print(
             "usage: repro-cmp work <host:port> | "
-            "repro-cmp work --queue-dir DIR [--slice I/N]",
+            "repro-cmp work --queue-dir DIR",
             file=sys.stderr,
         )
         return 2
@@ -1097,15 +1087,10 @@ def _work_command(args: argparse.Namespace) -> int:
         done = run_batch_worker(
             args.queue_dir,
             worker_id=args.worker_id,
-            task_slice=_parse_slice(args.task_slice),
-            lease_timeout=(
-                args.lease_timeout
-                if args.lease_timeout is not None
-                else DEFAULT_LEASE_TIMEOUT
-            ),
+            lease_timeout=args.lease_timeout,
             fault_plan=plan_dict,
         )
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"work: {exc}", file=sys.stderr)
         return 1
     if not args.quiet:
@@ -1170,8 +1155,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"bad total_mb {mb!r}; expected an integer", file=sys.stderr)
             return 2
         try:
+            check_workload(wl)
             point = runner.point(wl, total_mb, tech)
-        except SpecError as exc:
+        except ValueError as exc:  # a SpecError, or an unknown workload
             print(str(exc), file=sys.stderr)
             return 2
         m = runner.metrics_for(point)

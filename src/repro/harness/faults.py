@@ -29,7 +29,9 @@ injects a worker kill into an otherwise ordinary sweep.
 from __future__ import annotations
 
 import json
+import os
 import random
+import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -211,9 +213,10 @@ class FaultInjector:
 
     The injector is consulted twice per task — :meth:`on_task` when the
     task is received (advancing the counter and returning any receipt-
-    seam action) and :meth:`on_delivery` when its result is about to be
-    sent.  Each action fires at most once.  A worker with no scripted
-    faults pays two dict lookups per task.
+    seam action; :meth:`apply_receipt` also carries it out) and
+    :meth:`on_delivery` when its result is about to be sent.  Each
+    action fires at most once.  A worker with no scripted faults pays
+    two dict lookups per task.
     """
 
     def __init__(self, plan: PlanLike, worker: str) -> None:
@@ -237,6 +240,25 @@ class FaultInjector:
         """Record one task receipt; the receipt-seam action due, if any."""
         self.tasks_received += 1
         return self._receipt.pop(self.tasks_received, None)
+
+    def apply_receipt(self) -> Optional[str]:
+        """Record one task receipt and apply its fault; the kind applied.
+
+        ``kill`` exits with :data:`KILL_EXIT_CODE`; ``hang`` sleeps
+        ``seconds``, or wedges until torn down when ``seconds`` is 0.
+        Each worker reacts to a ``"drop"`` or a timed ``"hang"`` its own way.
+        """
+        action = self.on_task()
+        if action is None:
+            return None
+        if action.kind == "kill":
+            os._exit(KILL_EXIT_CODE)
+        if action.kind == "hang":
+            if action.seconds <= 0:
+                while True:  # wedge until torn down
+                    time.sleep(3600)
+            time.sleep(action.seconds)
+        return action.kind
 
     def on_delivery(self) -> Optional[FaultAction]:
         """The delivery-seam action due for the current task, if any."""

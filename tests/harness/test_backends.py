@@ -8,9 +8,9 @@ import threading
 import pytest
 
 from repro.harness.backends import (
+    BACKENDS,
     BatchQueueBackend,
     SocketWorkStealingBackend,
-    backend_names,
     make_backend,
     read_task_file,
     run_batch_worker,
@@ -22,6 +22,7 @@ from repro.harness.executor import ParallelSweepRunner
 from repro.harness.faults import FaultPlan
 from repro.harness.runner import SweepRunner, encode_entry
 from repro.harness.spec import SweepPoint, grid_spec
+from tests.conftest import seed_cache
 
 SCALE = 0.04
 #: 2 workloads x 1 size x 1 technique (+2 baseline twins) = 4 simulations
@@ -46,13 +47,18 @@ def _blobs(runner):
 
 
 @pytest.fixture(scope="module")
-def serial_run(tmp_path_factory):
-    """The MATRIX swept by the serial runner (module-shared)."""
+def serial_run(tmp_path_factory, reference_runner):
+    """The MATRIX swept by the serial runner (module-shared).
+
+    Its cache holds exactly the MATRIX blobs, copied from the session's
+    serial reference rather than simulated a second time.
+    """
     runner = SweepRunner(
         scale=SCALE,
         cache_dir=str(tmp_path_factory.mktemp("serial") / "cache"),
         verbose=False,
     )
+    seed_cache(reference_runner, runner, runner.points_for(**MATRIX))
     return runner, runner.sweep(**MATRIX)
 
 
@@ -71,7 +77,7 @@ def socket_run(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def batch_run(tmp_path_factory):
-    """The same MATRIX through the batch backend with 2 sliced workers."""
+    """The same MATRIX through the batch backend with 2 workers."""
     root = tmp_path_factory.mktemp("batch")
     backend = BatchQueueBackend(
         queue_dir=str(root / "queue"), spawn_workers=2, timeout=600
@@ -87,7 +93,7 @@ def batch_run(tmp_path_factory):
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert set(backend_names()) >= {"local", "socket", "batch"}
+        assert set(BACKENDS) >= {"local", "socket", "batch"}
 
     def test_make_backend_unknown_name(self):
         with pytest.raises(ValueError, match="unknown sweep backend"):
@@ -322,11 +328,10 @@ class TestBatchBackend:
         with pytest.raises(ValueError, match="task-file format"):
             read_task_file(str(tmp_path))
 
-    def test_worker_slices_partition_the_matrix(self, tmp_path, serial_run):
-        # slices order preference, not ownership: the first worker steals
-        # the absent second worker's points, the late worker finds every
-        # point settled, and a coordinator ingesting both shards serves
-        # the full matrix
+    def test_late_worker_finds_every_point_settled(self, tmp_path, serial_run):
+        # the first worker claims every point in plan order, the late
+        # worker finds every point settled, and a coordinator ingesting
+        # both shards serves the full matrix
         queue_dir = str(tmp_path / "queue")
         runner = ParallelSweepRunner(
             scale=SCALE,
@@ -336,8 +341,8 @@ class TestBatchBackend:
         )
         points = runner.plan(["uniform"], [1], ["protocol"])
         write_task_file(queue_dir, runner.runner_params(), points)
-        done0 = run_batch_worker(queue_dir, "w0", task_slice=(0, 2))
-        done1 = run_batch_worker(queue_dir, "w1", task_slice=(1, 2))
+        done0 = run_batch_worker(queue_dir, "w0")
+        done1 = run_batch_worker(queue_dir, "w1")
         assert done0 + done1 == len(points) == 2
         backend = BatchQueueBackend(queue_dir=queue_dir, spawn_workers=0)
         assert backend.collect(runner, points) == []

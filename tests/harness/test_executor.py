@@ -12,6 +12,7 @@ from repro.harness.executor import (
 from repro.harness.runner import SweepRunner
 from repro.harness.spec import load_spec
 from repro.scenarios import EnsembleSpec
+from tests.conftest import seed_cache
 
 PAPER_MATRIX = os.path.join(
     os.path.dirname(__file__), "..", "..", "specs", "paper_matrix.toml"
@@ -93,13 +94,18 @@ class TestPlanning:
 
 
 @pytest.fixture(scope="module")
-def serial_run(tmp_path_factory):
-    """The MATRIX swept by the serial runner (module-shared)."""
+def serial_run(tmp_path_factory, reference_runner):
+    """The MATRIX swept by the serial runner (module-shared).
+
+    Its cache holds exactly the MATRIX blobs, copied from the session's
+    serial reference rather than simulated a second time.
+    """
     runner = SweepRunner(
         scale=SCALE,
         cache_dir=str(tmp_path_factory.mktemp("serial") / "cache"),
         verbose=False,
     )
+    seed_cache(reference_runner, runner, runner.points_for(**MATRIX))
     return runner, runner.sweep(**MATRIX)
 
 

@@ -23,8 +23,10 @@ from repro.harness.backends import (
     SocketWorkStealingBackend,
 )
 from repro.harness.backends.lease import (
+    LeaseTable,
     claim_lease,
     lease_path,
+    log_event,
     read_events,
     release_lease,
     renew_lease,
@@ -45,6 +47,7 @@ from repro.harness.faults import (
 )
 from repro.harness.runner import SweepRunner
 from repro.harness.spec import SweepPoint
+from tests.conftest import seed_cache
 
 SCALE = 0.04
 #: the serial reference matrix (superset of every chaos run below)
@@ -74,13 +77,18 @@ def _assert_byte_identical(serial_runner, chaos_runner):
 
 
 @pytest.fixture(scope="module")
-def serial_run(tmp_path_factory):
-    """The MATRIX swept serially: the byte-identity reference."""
+def serial_run(tmp_path_factory, reference_runner):
+    """The MATRIX swept serially: the byte-identity reference.
+
+    Its cache holds exactly the MATRIX blobs, copied from the session's
+    serial reference rather than simulated a second time.
+    """
     runner = SweepRunner(
         scale=SCALE,
         cache_dir=str(tmp_path_factory.mktemp("serial") / "cache"),
         verbose=False,
     )
+    seed_cache(reference_runner, runner, runner.points_for(**MATRIX))
     return runner, runner.sweep(**MATRIX)
 
 
@@ -196,6 +204,82 @@ class TestLeaseFiles:
         assert not renew_lease(q, "k1", "w1")
         release_lease(q, "k1", "w1")  # not the holder: must be a no-op
         assert renew_lease(q, "k1", "w0")
+
+
+class TestLeaseTable:
+    """The lease state machine both distributed backends drive."""
+
+    P0 = SweepPoint("uniform", 1)
+    P1 = SweepPoint("pingpong", 1)
+
+    def test_renew_by_a_non_holder_is_refused(self):
+        table = LeaseTable([self.P0], lease_timeout=10.0)
+        assert table.claim("w0", now=0.0) == self.P0
+        assert not table.renew(self.P0, "w1", now=5.0)
+        assert table.renew(self.P0, "w0", now=5.0)
+        assert table.expired(now=12.0) == []  # the deadline moved to 15 s
+
+    def test_expired_lease_is_returned_once(self):
+        table = LeaseTable([self.P0], lease_timeout=10.0)
+        table.claim("w0", now=0.0)
+        assert table.expired(now=10.0) == [(self.P0, "w0")]
+        assert table.expired(now=20.0) == []
+        record = table.records[self.P0]
+        assert record.requeues == 1
+        assert "lease expired" in record.reasons[0]
+        assert table.claim("w1", now=20.0) == self.P0
+
+    def test_requeue_with_a_stale_worker_is_a_noop(self):
+        # w0's disconnect arrives after its lapsed lease went to w1
+        table = LeaseTable([self.P0], lease_timeout=10.0)
+        table.claim("w0", now=0.0)
+        table.expired(now=10.0)
+        table.claim("w1", now=10.0)
+        assert not table.requeue(self.P0, "w0 disconnected", worker="w0")
+        assert table.renew(self.P0, "w1", now=11.0)
+        assert table.records[self.P0].requeues == 1
+        assert table.claim("w2", now=11.0) is None  # never queued twice
+
+    def test_max_attempts_fails_and_a_late_completion_counts(self):
+        table = LeaseTable([self.P0], lease_timeout=10.0, max_attempts=2)
+        for worker in ("w0", "w1"):
+            assert table.claim(worker, now=0.0) == self.P0
+            table.requeue(self.P0, f"{worker} crashed", worker=worker)
+        record = table.records[self.P0]
+        assert record.status == "failed" and table.done
+        assert (record.attempts, record.requeues) == (2, 1)
+        assert table.complete(self.P0, "w1")
+        assert record.status == "completed" and record.worker == "w1"
+
+    def test_duplicate_completion_keeps_the_first_producer(self):
+        table = LeaseTable([self.P0, self.P1], lease_timeout=10.0)
+        table.claim("w0", now=0.0)
+        assert table.complete(self.P0, "w0")
+        assert not table.complete(self.P0, "w1")
+        assert table.records[self.P0].worker == "w0"
+        report = table.report("socket", {"served": 1})
+        assert (report.completed, report.total) == (1, 2)
+        assert not table.done
+
+    def test_batch_replay_orders_ledgers_by_time(self, tmp_path):
+        # ledgers are read in worker-name order, so the reclaimer's
+        # ledger comes first; the replay must still see the dead
+        # worker's claim before the reclaim that broke it
+        runner = SweepRunner(scale=SCALE, cache_dir=None, verbose=False)
+        queue_dir = str(tmp_path)
+        claim = {
+            "event": "claim",
+            "digest": runner.point_key(self.P0),
+            "point": self.P0.describe(),
+        }
+        log_event(queue_dir, "z-dead", dict(claim, kind="fresh", t=1.0))
+        log_event(queue_dir, "a-live", dict(claim, kind="reclaimed", t=70.0))
+        backend = BatchQueueBackend(queue_dir=queue_dir, spawn_workers=0)
+        report = backend._campaign_report(runner, [self.P0])
+        (record,) = report.records
+        assert record.reasons == ["stale lease reclaimed by a-live"]
+        assert (record.attempts, record.requeues) == (2, 1)
+        assert report.stats == {"claims": 2, "reclaimed": 1, "completions": 0}
 
 
 class TestSocketChaos:

@@ -8,9 +8,11 @@ import sys
 import pytest
 
 from repro.harness.cli import main as cli_main
+from repro.harness.executor import ParallelSweepRunner
 from repro.harness.figures import FigureTable, run_experiment, table1
 from repro.harness.metrics import PointMetrics
 from repro.harness.runner import SweepRunner
+from tests.conftest import seed_cache
 
 SCALE = 0.04
 
@@ -33,7 +35,8 @@ class TestRunnerCaching:
         assert r2.total_cycles == r1.total_cycles
         assert e2.total == pytest.approx(e1.total)
 
-    def test_memo_serves_repeat_lookups(self, runner):
+    def test_memo_serves_repeat_lookups(self, reference_runner):
+        runner = reference_runner
         point = runner.point("uniform", 1, "baseline")
         r1, _ = runner.run_point(point)
         r2, _ = runner.run_point(point)
@@ -64,13 +67,15 @@ class TestRunnerCaching:
         # rebuilt (8 TechniqueConfig constructions) per lookup
         assert runner.technique_configs() is runner.technique_configs()
 
-    def test_metrics_for(self, runner):
+    def test_metrics_for(self, reference_runner):
+        runner = reference_runner
         m = runner.metrics_for(runner.point("uniform", 1, "protocol"))
         assert isinstance(m, PointMetrics)
         assert m.ipc_loss == pytest.approx(0.0, abs=1e-9)
         assert 0 <= m.occupancy <= 1
 
-    def test_averaged(self, runner):
+    def test_averaged(self, reference_runner):
+        runner = reference_runner
         pts = [runner.metrics_for(runner.point("uniform", 1, "protocol")),
                runner.metrics_for(runner.point("pingpong", 1, "protocol"))]
         avg = runner.averaged(pts, "occupancy")
@@ -120,7 +125,14 @@ class TestFigureTable:
         assert "pending write" in out
 
     @pytest.mark.slow
-    def test_fig_on_reduced_matrix(self, runner):
+    def test_fig_on_reduced_matrix(self, tmp_path, reference_runner):
+        # run as `repro-cmp fig3a --jobs 2` runs it; the points other
+        # tests simulate too come from the session's serial reference,
+        # the other five techniques are simulated here
+        runner = ParallelSweepRunner(scale=SCALE, jobs=2, verbose=False,
+                                     cache_dir=str(tmp_path / "cache"))
+        seed_cache(reference_runner, runner, runner.points_for(
+            ["uniform", "pingpong"], [1], ["protocol", "decay64K"]))
         t = run_experiment(
             "fig3a", runner,
             sizes=[1], benchmarks=["uniform", "pingpong"])
@@ -164,8 +176,12 @@ class TestCLI:
             (["work", "127.0.0.1:notaport"], 2),
             (["work", "--queue-dir", "{tmp}/no_queue"], 1),
             (["serve-results", "--port", "{port}"], 1),
+            (["point", "nosuch", "1", "protocol"], 2),
+            (["fig6a", "--benchmarks", "nosuch"], 2),
+            (["cache", "merge", "{tmp}/nonexistent"], 1),
         ],
-        ids=["point_mb", "fig_sizes", "work_port", "no_task_file", "busy_port"],
+        ids=["point_mb", "fig_sizes", "work_port", "no_task_file", "busy_port",
+             "point_workload", "fig_benchmarks", "merge_missing_dir"],
     )
     def test_bad_input_prints_one_error_line(self, tmp_path, argv, code):
         # what a user sees: the CLI as a process, exit code and stderr
@@ -190,3 +206,14 @@ class TestCLI:
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+
+    @pytest.mark.parametrize(
+        "payload",
+        ['{"format": 1, "specs": [["uniform", 1, "protocol"]]}', "not json"],
+        ids=["format_1", "not_json"],
+    )
+    def test_work_reports_a_bad_task_file(self, tmp_path, capsys, payload):
+        (tmp_path / "tasks.json").write_text(payload)
+        assert cli_main(["work", "--queue-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1, err

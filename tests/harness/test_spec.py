@@ -395,10 +395,8 @@ class TestShippedSpecs:
 
 
 class TestRunnerIntegration:
-    def test_run_spec_matches_sweep(self, tmp_path):
-        runner = SweepRunner(
-            scale=0.04, cache_dir=str(tmp_path / "cache"), verbose=False
-        )
+    def test_run_spec_matches_sweep(self, reference_runner):
+        runner = reference_runner
         spec = grid_spec(
             "tiny", ["uniform"], [1], ["baseline", "protocol"]
         )

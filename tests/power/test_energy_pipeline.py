@@ -6,19 +6,16 @@ from repro import CMPConfig, TechniqueConfig, simulate
 from repro.power.calibration import share_band
 from repro.power.energy import EnergyModel, energy_reduction
 from repro.workloads.registry import get_workload
-from tests.conftest import tiny_config
 
 SCALE = 0.04
 
 
 @pytest.fixture(scope="module")
-def runs():
+def runs(tiny_technique_runs):
     """Small paired runs across techniques on one workload."""
-    wl = get_workload("uniform", scale=SCALE)
     out = {}
     for tech in ("baseline", "protocol", "decay"):
-        cfg = tiny_config(tech, decay_cycles=3000, l2_kb=64)
-        res = simulate(cfg, wl)
+        cfg, res = tiny_technique_runs[tech]
         out[tech] = (cfg, res, EnergyModel(cfg).evaluate(res))
     return out
 
@@ -88,27 +85,30 @@ class TestTechniqueOrdering:
         assert td <= tb
 
 
+@pytest.fixture(scope="module")
+def size_breakdowns():
+    """Baseline energy breakdown of the paper config per total L2 (MB)."""
+    wl = get_workload("uniform", scale=SCALE)
+    out = {}
+    for mb in (1, 4, 8):
+        cfg = CMPConfig().with_total_l2_mb(mb)
+        out[mb] = EnergyModel(cfg).evaluate(simulate(cfg, wl))
+    return out
+
+
 class TestCalibration:
     """The L2-leakage share must land inside the paper-implied bands."""
 
     @pytest.mark.parametrize("total_mb", [1, 4, 8])
-    def test_share_bands(self, total_mb):
-        wl = get_workload("uniform", scale=SCALE)
-        cfg = CMPConfig().with_total_l2_mb(total_mb)
-        res = simulate(cfg, wl)
-        bd = EnergyModel(cfg).evaluate(res)
+    def test_share_bands(self, total_mb, size_breakdowns):
+        bd = size_breakdowns[total_mb]
         lo, hi = share_band(total_mb)
         assert lo <= bd.l2_leakage_share <= hi, (
             f"{total_mb}MB share {bd.l2_leakage_share:.1%} outside "
             f"[{lo:.1%}, {hi:.1%}]")
 
-    def test_share_grows_with_size(self):
-        wl = get_workload("uniform", scale=SCALE)
-        shares = []
-        for mb in (1, 4, 8):
-            cfg = CMPConfig().with_total_l2_mb(mb)
-            bd = EnergyModel(cfg).evaluate(simulate(cfg, wl))
-            shares.append(bd.l2_leakage_share)
+    def test_share_grows_with_size(self, size_breakdowns):
+        shares = [size_breakdowns[mb].l2_leakage_share for mb in (1, 4, 8)]
         assert shares[0] < shares[1] < shares[2]
 
 
@@ -118,13 +118,8 @@ class TestTransientMode:
         with pytest.raises(ValueError):
             EnergyModel(cfg).transient_temperatures(res)
 
-    def test_transient_trace(self):
-        wl = get_workload("uniform", scale=SCALE)
-        cfg = tiny_config()
-        from dataclasses import replace
-
-        cfg = replace(cfg, sample_interval=5_000)
-        res = simulate(cfg, wl)
+    def test_transient_trace(self, tiny_sampled_run):
+        cfg, res = tiny_sampled_run
         model = EnergyModel(cfg)
         trace = model.transient_temperatures(res)
         assert len(trace) == len(res.samples)

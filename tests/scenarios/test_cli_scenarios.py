@@ -5,8 +5,10 @@ import os
 import pytest
 
 from repro.harness.cli import main
+from repro.harness.runner import SweepRunner
 from repro.harness.spec import load_spec, save_spec
 from repro.scenarios.templates import build_scenario
+from tests.conftest import seed_cache
 
 REPO_ROOT = os.path.join(os.path.dirname(__file__), "..", "..")
 SPECS_DIR = os.path.join(REPO_ROOT, "specs")
@@ -85,7 +87,15 @@ class TestScenarioCommand:
         assert "seeds [3, 4]" in capsys.readouterr().out
 
     @pytest.mark.slow
-    def test_run_with_replicas_emits_ci_table(self, tmp_path, capsys):
+    def test_run_with_replicas_emits_ci_table(
+        self, tmp_path, capsys, reference_runner
+    ):
+        # replica 0 runs at the spec's own seed: its blobs are the
+        # session's serial reference; replica 1 is simulated here
+        warm = SweepRunner(
+            scale=0.04, cache_dir=str(tmp_path / "cache"), verbose=False
+        )
+        seed_cache(reference_runner, warm, warm.expand_spec(load_spec(SMOKE)))
         csv_path = str(tmp_path / "ens.csv")
         code = main([
             "run", SMOKE, "--replicas", "2", "--quiet",

@@ -13,6 +13,7 @@ from repro.harness.figures import ensemble_table
 from repro.harness.runner import SweepRunner
 from repro.harness.spec import SpecError, grid_spec
 from repro.scenarios.ensemble import EnsembleSpec, run_ensemble
+from tests.conftest import seed_cache
 
 SCALE = 0.04
 
@@ -70,12 +71,18 @@ class TestExpansion:
 
 class TestDeterminism:
     @pytest.mark.slow
-    def test_serial_and_local_backend_byte_identical(self, tmp_path):
+    def test_serial_and_local_backend_byte_identical(
+        self, tmp_path, reference_runner
+    ):
         """Same ensemble through serial and pool workers: same bytes."""
         serial = SweepRunner(
             scale=SCALE, cache_dir=str(tmp_path / "serial"), verbose=False
         )
         ens = EnsembleSpec.from_spec(ENSEMBLE_SPEC)
+        # replica 0 runs at the runner's own seed: its serial blobs are
+        # the session's serial reference; replica 1 is simulated here
+        replica0 = ens.expand(scale=SCALE, runner_seed=serial.seed)[0]
+        seed_cache(reference_runner, serial, replica0)
         serial_result = run_ensemble(serial, ens)
 
         parallel = ParallelSweepRunner(
@@ -110,9 +117,9 @@ class TestDeterminism:
         assert pool_tbl.render() == serial_tbl.render()
         assert pool_tbl.to_csv() == serial_tbl.to_csv()
 
-    def test_single_replica_matches_single_run(self, tmp_path):
+    def test_single_replica_matches_single_run(self, reference_runner):
         """A 1-replica ensemble is exactly the plain spec run."""
-        runner = SweepRunner(scale=SCALE, cache_dir=None, verbose=False)
+        runner = reference_runner
         spec = grid_spec(
             name="single",
             workloads=["uniform"],

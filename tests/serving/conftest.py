@@ -16,11 +16,16 @@ from repro.harness.query import ResultStore
 from repro.harness.runner import SweepRunner
 from repro.harness.spec import save_spec
 from repro.serving import BackgroundServer, ResultService
+from tests.conftest import seed_cache
 
 
 @pytest.fixture(scope="session")
-def populated_cache(tmp_path_factory) -> Tuple[str, str]:
-    """Simulate the serving spec once; return (cache_dir, spec_path)."""
+def populated_cache(tmp_path_factory, reference_runner) -> Tuple[str, str]:
+    """Fill a cache with the serving spec; return (cache_dir, spec_path).
+
+    The blobs are the session's serial reference results for the spec's
+    smoke points, so nothing is simulated twice.
+    """
     root = tmp_path_factory.mktemp("serving")
     cache_dir = str(root / "cache")
     spec = serving_spec()
@@ -30,6 +35,7 @@ def populated_cache(tmp_path_factory) -> Tuple[str, str]:
         cache_dir=cache_dir,
         verbose=False,
     )
+    seed_cache(reference_runner, runner, runner.expand_spec(spec))
     metrics = runner.run_spec(spec)
     assert metrics, "smoke spec must produce rows"
     assert runner.cache is not None

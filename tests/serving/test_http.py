@@ -155,13 +155,17 @@ class TestOtherEndpoints:
         assert status == 200
         assert doc["count"] == len(doc["entries"]) == len(store.metrics())
 
-    def test_manifest_is_fresh_not_the_stale_snapshot(self, tmp_path):
+    def test_manifest_is_fresh_not_the_stale_snapshot(
+        self, tmp_path, populated_cache
+    ):
         """A key whose blob vanished is never served, even when the
         on-disk ``index.json`` still lists it."""
-        store = ResultStore.open(
-            str(tmp_path / "c"), serving_spec(), simulate_missing=True
-        )
-        store.metrics()  # populate the cache
+        import shutil
+
+        # a private copy of the populated cache: this test deletes a blob
+        shutil.copytree(populated_cache[0], tmp_path / "c")
+        store = ResultStore.open(str(tmp_path / "c"), serving_spec())
+        assert len(store.metrics()) == len(store.points())  # all cached
         cache = store.runner.cache
         cache.write_manifest()
         victim = next(iter(cache.build_manifest()["entries"]))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import CMPConfig, Simulator, TechniqueConfig, simulate
+from repro import Simulator, simulate
 from repro.sim.stats import SimResult
 from repro.workloads.registry import get_workload
 from tests.conftest import tiny_config
@@ -15,35 +15,41 @@ def uniform_wl():
     return get_workload("uniform", scale=SCALE)
 
 
+@pytest.fixture(scope="module")
+def uniform_result(uniform_wl):
+    """One baseline run of the tiny config, shared by read-only checks."""
+    return simulate(tiny_config("baseline"), uniform_wl)
+
+
 class TestBasicRun:
-    def test_completes_and_counts(self, uniform_wl):
-        res = simulate(tiny_config(), uniform_wl)
+    def test_completes_and_counts(self, uniform_wl, uniform_result):
+        res = uniform_result
         expected = uniform_wl.meta.accesses_per_core
         for core in res.cores:
             assert core.loads + core.stores == expected
         assert res.total_cycles > 0
         assert res.ipc > 0
 
-    def test_baseline_occupancy_is_one(self, uniform_wl):
-        res = simulate(tiny_config("baseline"), uniform_wl)
+    def test_baseline_occupancy_is_one(self, uniform_result):
+        res = uniform_result
         assert res.occupancy == pytest.approx(1.0)
 
-    def test_deterministic(self, uniform_wl):
-        a = simulate(tiny_config(), uniform_wl)
+    def test_deterministic(self, uniform_wl, uniform_result):
+        a = uniform_result
         b = simulate(tiny_config(), uniform_wl)
         assert a.total_cycles == b.total_cycles
         assert a.l2_miss_rate == b.l2_miss_rate
         assert a.ipc == b.ipc
 
-    def test_serialization_roundtrip(self, uniform_wl):
-        res = simulate(tiny_config(), uniform_wl)
+    def test_serialization_roundtrip(self, uniform_result):
+        res = uniform_result
         again = SimResult.from_dict(res.to_dict())
         assert again.total_cycles == res.total_cycles
         assert again.occupancy == res.occupancy
         assert again.ipc == res.ipc
 
-    def test_summary_renders(self, uniform_wl):
-        res = simulate(tiny_config(), uniform_wl)
+    def test_summary_renders(self, uniform_result):
+        res = uniform_result
         s = res.summary()
         assert "IPC" in s and "occupancy" in s
 
@@ -75,8 +81,8 @@ class TestBarrierWorkloads:
 
 
 class TestWarmup:
-    def test_warmup_reduces_counted_work(self, uniform_wl):
-        full = simulate(tiny_config(), uniform_wl)
+    def test_warmup_reduces_counted_work(self, uniform_wl, uniform_result):
+        full = uniform_result
         warm = simulate(tiny_config(), uniform_wl, warmup_fraction=0.5)
         assert warm.total_instructions < full.total_instructions
         assert warm.total_cycles < full.total_cycles
@@ -94,18 +100,8 @@ class TestTechniqueInvariants:
     """Cross-technique orderings that must hold on any workload."""
 
     @pytest.fixture(scope="class")
-    def results(self):
-        wl = get_workload("uniform", scale=SCALE)
-        out = {}
-        for tech, kw in [
-            ("baseline", {}),
-            ("protocol", {}),
-            ("decay", {"decay_cycles": 3000}),
-            ("selective_decay", {"decay_cycles": 3000}),
-        ]:
-            out[tech] = simulate(
-                tiny_config(tech, l2_kb=64, **kw), wl)
-        return out
+    def results(self, tiny_technique_runs):
+        return {tech: res for tech, (_, res) in tiny_technique_runs.items()}
 
     def test_occupancy_ordering(self, results):
         assert results["baseline"].occupancy == pytest.approx(1.0)
@@ -128,14 +124,8 @@ class TestTechniqueInvariants:
     def test_decay_not_faster(self, results):
         assert results["decay"].ipc <= results["baseline"].ipc + 1e-9
 
-    def test_sampling_collects(self):
-        wl = get_workload("uniform", scale=SCALE)
-        cfg = tiny_config()
-        cfg = CMPConfig(
-            n_cores=cfg.n_cores, core=cfg.core, l1=cfg.l1, l2=cfg.l2,
-            memory=cfg.memory, technique=cfg.technique,
-            sample_interval=5_000)
-        res = simulate(cfg, wl)
+    def test_sampling_collects(self, tiny_sampled_run):
+        _, res = tiny_sampled_run
         assert len(res.samples) > 0
         total_instr = sum(sum(s.core_instructions) for s in res.samples)
         assert total_instr == res.total_instructions

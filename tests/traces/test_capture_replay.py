@@ -67,18 +67,22 @@ class TestStreamIdentity:
 
 
 class TestBlobIdentity:
-    def test_serial_runner_bit_identical(self, capture, tmp_path):
+    def test_serial_runner_bit_identical(
+        self, capture, tmp_path, reference_runner
+    ):
         """The golden: generator blob == replay blob, byte for byte."""
-        gen = make_runner(tmp_path / "gen")
+        gen = reference_runner  # the serial generator run, session-shared
         rep = make_runner(tmp_path / "rep")
         for tech in ("baseline", "protocol", "decay64K"):
             p_gen = gen.point("uniform", 1, tech)
             p_rep = rep.point(f"trace:{capture}", 1, tech)
             assert blob_digest(gen, p_gen) == blob_digest(rep, p_rep), tech
 
-    def test_local_backend_bit_identical(self, capture, tmp_path):
+    def test_local_backend_bit_identical(
+        self, capture, tmp_path, reference_runner
+    ):
         """Same identity through LocalBackend worker processes (jobs=2)."""
-        gen = make_runner(tmp_path / "gen")
+        gen = reference_runner
         rep = ParallelSweepRunner(
             scale=SCALE,
             seed=SEED,
