@@ -16,10 +16,23 @@ on the read-dominated access path — the struct-of-arrays win here is the
 *indexing discipline* (parallel columns, one frame index), not the C
 element width.  Callers on the per-access path bind the columns
 (``array.state``, ``array.tags``, ``array.line_to_frame``) to locals.
+
+Free-frame stacks: an exact-LRU array whose frames start gated
+(``empty_state`` other than INVALID — every L2 of a Gated-Vdd technique)
+keeps, per set, a stack of its empty frames, so a refill finds its victim
+in O(1) instead of a ``min`` over the set's stamps.  The stack yields the
+very frame ``min(stamp)`` would: every empty frame's stamp is below every
+live one (the reset ramp is ``0 .. assoc-1``, references draw from a
+counter starting at ``assoc``, invalidations count down from ``-1``), so
+the most recent eviction comes first, then the never-used ways from the
+highest way down.  The stacks are singly linked through two ``array('i')``
+columns (``free_top`` per set, ``_free_next`` per frame) — frame numbers
+only, 4 bytes a frame.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .geometry import CacheGeometry
@@ -39,6 +52,9 @@ class CacheArray:
     policy:
         Replacement policy name (``lru``, ``tree-plru``, ``random``) or an
         already-constructed :class:`ReplacementPolicy`.
+    empty_state:
+        State code of every frame at reset.  A code other than INVALID
+        (a gated state) makes an exact-LRU array keep free-frame stacks.
     """
 
     __slots__ = (
@@ -49,25 +65,31 @@ class CacheArray:
         "repl",
         "lru",
         "line_to_frame",
+        "free_top",
+        "_free_next",
         "_assoc",
         "_set_mask",
     )
 
     def __init__(
-        self, geometry: CacheGeometry, policy: str | ReplacementPolicy = "lru"
+        self,
+        geometry: CacheGeometry,
+        policy: str | ReplacementPolicy = "lru",
+        empty_state: int = INVALID,
     ) -> None:
         self.geom = geometry
         n = geometry.n_lines
+        assoc = geometry.assoc
         #: flat tag column; -1 marks an empty frame
         self.tags: List[int] = [-1] * n
-        #: flat state column (codes fit a byte; INVALID == 0 at reset)
-        self.state = bytearray(n)
+        #: flat state column (codes fit a byte; ``empty_state`` at reset)
+        self.state = bytearray([empty_state]) * n
         #: frames currently in each state code — maintained by
-        #: install/evict/set_state/reset_states so per-state population
-        #: queries are O(1) (clients use it to skip e.g. transient-state
-        #: victim filtering when no frame is transient)
+        #: install/evict/set_state so per-state population queries are
+        #: O(1) (clients use it to skip e.g. transient-state victim
+        #: filtering when no frame is transient)
         self.state_census = [0] * 256
-        self.state_census[INVALID] = n
+        self.state_census[empty_state] = n
         if isinstance(policy, str):
             policy = make_policy(policy, geometry.n_sets, geometry.assoc)
         self.repl: ReplacementPolicy = policy
@@ -81,8 +103,18 @@ class CacheArray:
         )
         #: cache-wide residency map (line_addr -> frame)
         self.line_to_frame: Dict[int, int] = {}
-        self._assoc = geometry.assoc
+        self._assoc = assoc
         self._set_mask = geometry.n_sets - 1
+        #: per-set top of the free-frame stack (-1: no empty frame), or
+        #: None when the array keeps no stacks (see the module docstring)
+        self.free_top: Optional[array] = None
+        self._free_next: Optional[array] = None
+        if empty_state != INVALID and self.lru is not None:
+            # Way assoc-1 (stamp 0) on top, linked down to way 0.
+            self.free_top = array("i", range(assoc - 1, n, assoc))
+            nxt = array("i", range(-1, n - 1))
+            nxt[::assoc] = array("i", [-1]) * geometry.n_sets
+            self._free_next = nxt
 
     # ------------------------------------------------------------------
     # Basic indexing
@@ -107,7 +139,7 @@ class CacheArray:
         return self.line_to_frame.get(line_addr, -1)
 
     def touch(self, frame: int) -> None:
-        """Record a reference for replacement purposes."""
+        """Record a reference to the line in ``frame`` (never an empty frame)."""
         lru = self.lru
         if lru is not None:
             ns = lru.next_stamp
@@ -131,10 +163,11 @@ class CacheArray:
     ) -> int:
         """Pick a victim frame in the set of ``line_addr``.
 
-        Prefers an empty (INVALID-state) frame; otherwise asks the
-        replacement policy.  ``blocked(frame)`` excludes frames (e.g. lines
-        in transient coherence states).  Returns ``-1`` when everything is
-        blocked.
+        Prefers an empty (INVALID-state) frame; otherwise the top of the
+        set's free-frame stack when the array keeps one; otherwise asks
+        the replacement policy.  ``blocked(frame)`` excludes frames (e.g.
+        lines in transient coherence states).  Returns ``-1`` when
+        everything is blocked.  Never changes the array.
         """
         set_idx = line_addr & self._set_mask
         base = set_idx * self._assoc
@@ -149,6 +182,13 @@ class CacheArray:
                 if state[frame] == INVALID and tags[frame] == -1:
                     if blocked is None or not blocked(frame):
                         return frame
+        free_top = self.free_top
+        if free_top is not None:
+            # The stack top is the set's smallest stamp: the frame the
+            # policy's min() below would pick.
+            frame = free_top[set_idx]
+            if frame >= 0 and (blocked is None or not blocked(frame)):
+                return frame
         if blocked is None:
             way = self.repl.victim(set_idx)
         else:
@@ -168,6 +208,8 @@ class CacheArray:
         old_state = self.state[frame]
         if old_tag != -1:
             del line_map[old_tag]
+        elif self.free_top is not None:
+            self._unfree(frame)
         tags[frame] = line_addr
         self.state[frame] = state
         census = self.state_census
@@ -183,25 +225,64 @@ class CacheArray:
             self.repl.on_fill(frame // self._assoc, frame % self._assoc)
         return (old_tag, old_state)
 
-    def evict(self, frame: int) -> Tuple[int, int]:
-        """Remove the line in ``frame`` (state -> INVALID); return (tag, state)."""
+    def evict(self, frame: int, state: int = INVALID) -> Tuple[int, int]:
+        """Remove the line in ``frame``; return its (tag, state).
+
+        The emptied frame takes ``state``: INVALID, or a gated code, so a
+        turn-off is one call and one census update.
+        """
         old_tag = self.tags[frame]
         old_state = self.state[frame]
         if old_tag != -1:
             del self.line_to_frame[old_tag]
             self.tags[frame] = -1
-        self.state[frame] = INVALID
+        self.state[frame] = state
         census = self.state_census
         census[old_state] -= 1
-        census[INVALID] += 1
+        census[state] += 1
         lru = self.lru
         if lru is not None:
             ds = lru._demote_stamp
             lru.stamp[frame] = ds
             lru._demote_stamp = ds - 1
+            free_top = self.free_top
+            if free_top is not None:
+                # The demoted frame now has the set's smallest stamp.
+                if old_tag == -1:
+                    self._unfree(frame)
+                set_idx = frame // self._assoc
+                self._free_next[frame] = free_top[set_idx]
+                free_top[set_idx] = frame
         else:
             self.repl.on_invalidate(frame // self._assoc, frame % self._assoc)
         return (old_tag, old_state)
+
+    def _unfree(self, frame: int) -> None:
+        """Take the empty ``frame`` off its set's free-frame stack."""
+        free_top = self.free_top
+        nxt = self._free_next
+        set_idx = frame // self._assoc
+        prev = -1
+        cur = free_top[set_idx]
+        while cur != frame:
+            if cur < 0:
+                raise AssertionError(f"empty frame {frame} missing from its stack")
+            prev = cur
+            cur = nxt[cur]
+        if prev < 0:
+            free_top[set_idx] = nxt[frame]
+        else:
+            nxt[prev] = nxt[frame]
+
+    def free_frames(self, set_idx: int) -> List[int]:
+        """Set ``set_idx``'s free-frame stack, top first (tests)."""
+        stack: List[int] = []
+        if self.free_top is not None:
+            frame = self.free_top[set_idx]
+            while frame >= 0 and len(stack) <= self._assoc:
+                stack.append(frame)
+                frame = self._free_next[frame]
+        return stack
 
     def set_state(self, frame: int, state: int) -> None:
         """Overwrite the state code of ``frame`` (tag unchanged)."""
@@ -209,18 +290,6 @@ class CacheArray:
         census[self.state[frame]] -= 1
         census[state] += 1
         self.state[frame] = state
-
-    def reset_states(self, state: int) -> None:
-        """Put every frame into ``state`` (bulk reset; tags untouched).
-
-        Mutates the column in place so hot-path aliases stay valid.
-        """
-        n = len(self.state)
-        self.state[:] = bytes([state]) * n
-        census = self.state_census
-        for code in range(256):
-            census[code] = 0
-        census[state] = n
 
     # ------------------------------------------------------------------
     # Introspection (tests, stats, debugging)
@@ -248,8 +317,10 @@ class CacheArray:
     def check_integrity(self) -> None:
         """Internal consistency check used by the test-suite.
 
-        Verifies the residency map agrees with the tag column and that no
-        line address appears twice.
+        Verifies the residency map agrees with the tag column, that no
+        line address appears twice, the state census, and that each
+        free-frame stack holds exactly its set's empty frames in
+        ascending-stamp order.
         """
         assoc = self._assoc
         for line_addr, frame in self.line_to_frame.items():
@@ -277,4 +348,25 @@ class CacheArray:
                 raise AssertionError(
                     f"state census says {census[code]} frames in state "
                     f"{code} but the column holds {actual}"
+                )
+        if self.free_top is None:
+            return
+        stamp = self.lru.stamp
+        for set_idx in range(self.geom.n_sets):
+            base = set_idx * assoc
+            stack = self.free_frames(set_idx)
+            empty = sorted(
+                (f for f in range(base, base + assoc) if self.tags[f] == -1),
+                key=stamp.__getitem__,
+            )
+            if stack != empty:
+                raise AssertionError(
+                    f"set {set_idx}: free-frame stack {stack} but its empty "
+                    f"frames in stamp order are {empty}"
+                )
+            live = [stamp[f] for f in range(base, base + assoc) if self.tags[f] != -1]
+            if empty and live and stamp[empty[-1]] >= min(live):
+                raise AssertionError(
+                    f"set {set_idx}: empty frame {empty[-1]} is stamped above "
+                    f"a live frame"
                 )

@@ -127,8 +127,9 @@ class LRUPolicy(ReplacementPolicy):
         base = set_idx * assoc
         stamp = self.stamp
         if blocked is None:
-            # min() keeps the first minimum, matching a way-order scan.
-            return min(range(base, base + assoc), key=stamp.__getitem__) - base
+            # index() finds the first minimum, matching a way-order scan.
+            ways = stamp[base : base + assoc]
+            return ways.index(min(ways))
         for way in sorted(range(assoc), key=lambda w: stamp[base + w]):
             if not blocked(way):
                 return way

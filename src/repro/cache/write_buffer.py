@@ -109,13 +109,11 @@ class WriteBuffer:
 
         Returns the drained line address, or ``-1`` if nothing is ready.
         """
+        ready = self._head_ready
+        if ready < 0 or ready > now:
+            return -1
         fifo = self._fifo
-        if not fifo:
-            return -1
-        line_addr, ready = next(iter(fifo.items()))
-        if ready > now:
-            return -1
-        del fifo[line_addr]
+        line_addr = fifo.popitem(last=False)[0]
         self._head_ready = next(iter(fifo.values())) if fifo else -1
         self.stats.drains += 1
         return line_addr

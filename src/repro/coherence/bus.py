@@ -77,13 +77,16 @@ class BusStats:
 class SnoopyBus:
     """FIFO-arbitrated shared bus with exact occupancy accounting."""
 
-    __slots__ = ("cfg", "stats", "next_free", "_line_bytes")
+    __slots__ = ("cfg", "stats", "next_free", "_line_bytes", "_occ", "_snoop_cycles")
 
     def __init__(self, cfg: BusConfig, line_bytes: int = 64) -> None:
         self.cfg = cfg
         self.stats = BusStats()
         self.next_free = 0
         self._line_bytes = line_bytes
+        #: (kind, data_bytes) -> occupancy_core_cycles, filled on first use
+        self._occ: Dict[Tuple[int, int], int] = {}
+        self._snoop_cycles = self.snoop_response_core_cycles()
 
     # ------------------------------------------------------------------
     def occupancy_core_cycles(self, kind: int, data_bytes: int) -> int:
@@ -115,8 +118,12 @@ class SnoopyBus:
         the bus frees for the next requester at ``grant + occupancy``.
         """
         grant = now if now > self.next_free else self.next_free
-        occ = self.occupancy_core_cycles(kind, data_bytes)
-        done = grant + occ + self.snoop_response_core_cycles()
+        occ = self._occ.get((kind, data_bytes))
+        if occ is None:
+            occ = self._occ[kind, data_bytes] = self.occupancy_core_cycles(
+                kind, data_bytes
+            )
+        done = grant + occ + self._snoop_cycles
         self.next_free = grant + occ
 
         st = self.stats

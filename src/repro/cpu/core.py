@@ -222,7 +222,7 @@ class Core:
                     ready = cycle + self._wb_drain_latency
                     if not fifo:
                         # new head: the drain deadline moved
-                        l1._drain_dirty = True
+                        l1.drain_dirty = True
                         self._wb._head_ready = ready
                     fifo[line_addr] = ready
                 wst.inserts += 1

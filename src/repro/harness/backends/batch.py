@@ -101,7 +101,12 @@ def read_task_file(queue_dir: str) -> dict:
     """Load and validate the queue's task file (points are rebuilt)."""
     path = os.path.join(queue_dir, TASK_FILE)
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not a JSON task file ({exc})") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: a task file is a JSON object")
     if payload.get("format") != TASK_FORMAT:
         raise ValueError(
             f"{path}: unsupported task-file format {payload.get('format')!r}"

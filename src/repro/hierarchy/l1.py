@@ -27,8 +27,6 @@ loop without re-entering this module (see ``Core.step``).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..cache.array import CacheArray
 from ..cache.geometry import CacheGeometry
 from ..cache.mshr import MSHR
@@ -61,8 +59,9 @@ class L1Cache:
         self.stats = L1Stats()
         self.hit_latency = cfg.l1.hit_latency
         #: set whenever the head drain deadline may have moved; the
-        #: simulator's event heap consumes it via consume_drain_event()
-        self._drain_dirty = False
+        #: simulator's event loop clears it and re-posts the write
+        #: buffer's head ready time (``-1``: nothing left to drain)
+        self.drain_dirty = False
 
         # Flat-column aliases for the fused fast path in Core.step.
         self.line_to_frame = self.array.line_to_frame
@@ -164,7 +163,7 @@ class L1Cache:
 
         self.write_buffer.insert(line_addr, now + stall)
         if self.write_buffer.head_ready_time() != head_before:
-            self._drain_dirty = True
+            self.drain_dirty = True
         return (1, stall)
 
     # ------------------------------------------------------------------
@@ -179,23 +178,9 @@ class L1Cache:
         line_addr = self.write_buffer.pop_ready(now)
         if line_addr < 0:
             return False
-        self._drain_dirty = True
+        self.drain_dirty = True
         self.l2.access(line_addr, now, True)
         return True
-
-    def consume_drain_event(self) -> Optional[int]:
-        """Updated drain deadline since the last call, else ``None``.
-
-        The simulator's next-event heap polls this after every action that
-        can move the head of this L1's write buffer (a step of the owning
-        core, or a drain of this buffer).  The returned deadline is the
-        current :meth:`next_drain_time` (``-1`` when the buffer emptied);
-        ``None`` means the previously posted deadline is still current.
-        """
-        if not self._drain_dirty:
-            return None
-        self._drain_dirty = False
-        return self.write_buffer.head_ready_time()
 
     def has_pending_write(self, line_addr: int) -> bool:
         """Table I: is a buffered store to ``line_addr`` still in flight?"""

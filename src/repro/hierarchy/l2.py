@@ -78,7 +78,10 @@ class PrivateL2:
             assoc=cfg.l2.assoc,
         )
         self.geom = geom
-        self.array = CacheArray(geom, cfg.l2.policy)
+        # Gated-at-reset techniques park every frame in OFF.
+        self.array = CacheArray(
+            geom, cfg.l2.policy, empty_state=I if policy.start_powered else OFF
+        )
         self.bus = bus
         self.memory = memory
         self.policy = policy
@@ -90,9 +93,6 @@ class PrivateL2:
             start_powered=policy.start_powered,
             sample_interval=cfg.sample_interval,
         )
-        # Gated-at-reset techniques park every frame in OFF.
-        if not policy.start_powered:
-            self.array.reset_states(OFF)
 
         #: effective access latency (decay caches pay the +1 wake/gate mux)
         self.hit_latency = cfg.l2.hit_latency + (
@@ -124,6 +124,7 @@ class PrivateL2:
         self._state_col = self.array.state
         self._tags = self.array.tags
         self._lru = self.array.lru
+        self._free_top = self.array.free_top
         self._assoc = geom.assoc
         self._set_mask = geom.n_sets - 1
         #: inline-touch selector; -1 (virtual dispatch) for anything that
@@ -144,7 +145,8 @@ class PrivateL2:
             self._dl_add = 0
             self._dl_tick = 1
             self._dl_states = 0
-        # Scheduler / L1 columns; rebound in connect().
+        # Siblings, scheduler and L1 columns; rebound in connect().
+        self._snoop_filter: List[tuple] = []
         self._sched_pending: Optional[bytearray] = None
         self._sched_heap: Optional[list] = None
         self._l1_wb_fifo: Optional[dict] = None
@@ -155,6 +157,9 @@ class PrivateL2:
     def connect(self, siblings: List["PrivateL2"], l1, scheduler: DecayScheduler) -> None:
         """Attach sibling caches, the local L1 and the decay scheduler."""
         self.siblings = [s for s in siblings if s is not self]
+        # A sibling's residency map is an exact snoop filter: snoop()
+        # answers (False, False) for any line its map does not hold.
+        self._snoop_filter = [(s._map, s) for s in self.siblings]
         self.l1 = l1
         self.scheduler = scheduler
         self._sched_pending = scheduler._pending[self.cache_id]
@@ -224,7 +229,7 @@ class PrivateL2:
                     else:
                         # custom policy: its deadline() is authoritative
                         self.scheduler.ensure(self.cache_id, frame)
-                if not is_write:
+                if not is_write or state == M:  # a drain into M is a plain hit
                     return self.hit_latency
                 return self._write_hit(frame, state, now)
 
@@ -249,10 +254,11 @@ class PrivateL2:
 
         shared = False
         supplied = False
-        for sib in self.siblings:
-            had, sup = sib.snoop(line_addr, txn, grant)
-            shared = shared or had
-            supplied = supplied or sup
+        for sib_map, sib in self._snoop_filter:
+            if line_addr in sib_map:
+                had, sup = sib.snoop(line_addr, txn, grant)
+                shared = shared or had
+                supplied = supplied or sup
 
         if supplied:
             st.cache_to_cache += 1
@@ -270,9 +276,7 @@ class PrivateL2:
         return self.hit_latency + (fill_time - now)
 
     def _write_hit(self, frame: int, state: int, now: int) -> int:
-        """Write-buffer drain hitting a valid line: obtain M rights."""
-        if state == M:
-            return self.hit_latency
+        """Write-buffer drain hitting an S or E line: obtain M rights."""
         array = self.array
         if state == E:
             array.set_state(frame, M)
@@ -280,8 +284,10 @@ class PrivateL2:
             return self.hit_latency
         # S: broadcast an upgrade; remote sharers invalidate.
         grant, done = self.bus.upgrade(now)
-        for sib in self.siblings:
-            sib.snoop(array.tags[frame], BUS_UPGR, grant)
+        line_addr = array.tags[frame]
+        for sib_map, sib in self._snoop_filter:
+            if line_addr in sib_map:
+                sib.snoop(line_addr, BUS_UPGR, grant)
         # Our own copy may have been gated?  No: we hold it in S and we are
         # the upgrader — state can only change via remote snoops, which are
         # serialized behind this transaction.
@@ -296,19 +302,29 @@ class PrivateL2:
         array = self.array
         st = self.stats
         state_col = self._state_col
-        # Transient (TC/TD) frames must not be victimized; they only exist
-        # when a test drives the turn-off sequencer without auto-grant, so
-        # the common case passes no predicate at all (bit-identical: a
-        # predicate that never blocks selects the same victim).
         census = array.state_census
-        if census[TC] or census[TD]:
-            frame = array.choose_victim(
-                line_addr, blocked=lambda f: state_col[f] in (TC, TD)
-            )
+        # A gated frame refills first: the free-frame stack's top is
+        # choose_victim's answer whenever no frame is INVALID (an empty
+        # frame is never transient).
+        free_top = self._free_top
+        if free_top is not None and not census[I]:
+            frame = free_top[line_addr & self._set_mask]
         else:
-            frame = array.choose_victim(line_addr)
+            frame = -1
         if frame < 0:
-            raise RuntimeError("no eligible victim (all frames transient?)")
+            # Transient (TC/TD) frames must not be victimized; they only
+            # exist when a test drives the turn-off sequencer without
+            # auto-grant, so the common case passes no predicate at all
+            # (bit-identical: a predicate that never blocks selects the
+            # same victim).
+            if census[TC] or census[TD]:
+                frame = array.choose_victim(
+                    line_addr, blocked=lambda f: state_col[f] in (TC, TD)
+                )
+            else:
+                frame = array.choose_victim(line_addr)
+            if frame < 0:
+                raise RuntimeError("no eligible victim (all frames transient?)")
 
         victim_state = state_col[frame]
         victim_tag = self._tags[frame]
@@ -412,15 +428,15 @@ class PrivateL2:
             self._pol_armed[frame] = 0
         elif pkind < 0:
             self.policy.on_clear(frame)
-        self.array.evict(frame)
         if self._gates_on_inval:
             # "A cache line is switched off when a line is invalidated."
             # No ghost is recorded: the invalidation happens in the
             # baseline too, so a later miss is not technique-induced.
-            self.array.set_state(frame, OFF)
+            self.array.evict(frame, OFF)
             self.occupancy.gate(now)
             st.gated_protocol += 1
-        # else: baseline — the frame stays powered in I.
+        else:
+            self.array.evict(frame)  # baseline: the frame stays powered in I
 
     # ------------------------------------------------------------------
     # Decay turn-off path (called by the DecayScheduler)
@@ -478,8 +494,7 @@ class PrivateL2:
             self._pol_armed[frame] = 0
         elif pkind < 0:
             self.policy.on_clear(frame)
-        array.evict(frame)
-        array.set_state(frame, OFF)
+        array.evict(frame, OFF)
         self.occupancy.gate(gate_time)
         return True
 

@@ -17,10 +17,10 @@ Core and drain events are merged through an **incremental next-event
 heap** rather than a per-event scan of every core and write buffer: a
 dispatched core pushes its updated ``next_time`` back (its times strictly
 increase while RUNNING — see :mod:`repro.cpu.core`), and each L1 flags
-drain-deadline changes which the loop converts into heap entries
-(:meth:`~repro.hierarchy.l1.L1Cache.consume_drain_event`).  Entries are
-invalidated lazily: a popped entry whose time no longer matches its
-actor's current deadline is discarded.  Heap keys ``(time, kind, index)``
+drain-deadline changes in ``L1Cache.drain_dirty``, which the loop clears
+and converts into heap entries.  Entries are invalidated lazily: a
+popped entry whose time no longer matches its actor's current deadline
+is discarded.  Heap keys ``(time, kind, index)``
 with cores as kind 0 reproduce the historical scan's tie-breaking exactly
 (cores before drains, lower index first), so results are bit-identical to
 the O(n)-scan engine this replaced.
@@ -111,9 +111,11 @@ class Simulator:
         for i, core in enumerate(cores):
             if core.state == RUNNING:
                 heappush(heap, (core.next_time, 0, i))
-            dr = l1s[i].consume_drain_event()
-            if dr is not None and dr >= 0:
-                heappush(heap, (dr, 1, i))
+            if l1s[i].drain_dirty:
+                l1s[i].drain_dirty = False
+                dr = write_buffers[i]._head_ready
+                if dr >= 0:
+                    heappush(heap, (dr, 1, i))
 
         while True:
             events += 1
@@ -172,9 +174,12 @@ class Simulator:
                 if t_min > last_event_time:
                     last_event_time = int(t_min)
             # the step/drain may have moved this L1's drain deadline
-            dr = l1s[actor_idx].consume_drain_event()
-            if dr is not None and dr >= 0:
-                heappush(heap, (dr, 1, actor_idx))
+            l1 = l1s[actor_idx]
+            if l1.drain_dirty:
+                l1.drain_dirty = False
+                dr = write_buffers[actor_idx]._head_ready
+                if dr >= 0:
+                    heappush(heap, (dr, 1, actor_idx))
 
             # ---- warmup boundary ----------------------------------------
             if not warmup_done and actor_kind == 0:

@@ -209,11 +209,12 @@ class TestCLI:
 
     @pytest.mark.parametrize(
         "payload",
-        ['{"format": 1, "specs": [["uniform", 1, "protocol"]]}', "not json"],
-        ids=["format_1", "not_json"],
+        ['{"format": 1, "specs": [["uniform", 1, "protocol"]]}', "not json", "[]"],
+        ids=["format_1", "not_json", "not_an_object"],
     )
     def test_work_reports_a_bad_task_file(self, tmp_path, capsys, payload):
         (tmp_path / "tasks.json").write_text(payload)
         assert cli_main(["work", "--queue-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1, err
+        assert str(tmp_path / "tasks.json") in err, err

@@ -6,7 +6,9 @@ traffic, checking states, inclusion bits and traffic counters.
 
 import pytest
 
+from repro.coherence.events import BUS_RD, BUS_UPGR
 from repro.coherence.states import E, I, M, OFF, S
+from repro.hierarchy.l2 import PrivateL2
 from tests.conftest import make_system, tiny_config
 
 
@@ -144,3 +146,53 @@ class TestInvariantsAfterTraffic:
             sys.l2s[cid].access(line, t * 50, wr)
         for l2 in sys.l2s:
             l2.check_invariants()
+
+
+@pytest.fixture
+def snoop_calls(monkeypatch):
+    """Cache ids of every PrivateL2.snoop call, in call order."""
+    calls = []
+    snoop = PrivateL2.snoop
+
+    def counted(self, line_addr, txn, now):
+        calls.append(self.cache_id)
+        return snoop(self, line_addr, txn, now)
+
+    monkeypatch.setattr(PrivateL2, "snoop", counted)
+    return calls
+
+
+@pytest.mark.parametrize("technique", ["baseline", "protocol"])
+class TestSnoopFilter:
+    """Only a sibling whose residency map holds the line is snooped."""
+
+    def test_miss_to_an_unheld_line_snoops_nobody(self, snoop_calls, technique):
+        sys = make_system(tiny_config(technique))
+        sys.l2s[0].access(0x100, 0, False)
+        assert snoop_calls == []
+        assert state_of(sys.l2s[0], 0x100) == E
+        assert [l2.stats.snoops_observed for l2 in sys.l2s] == [0, 0, 0, 0]
+        assert sys.bus.stats.count(BUS_RD) == sys.bus.stats.transactions == 1
+
+    def test_miss_snoops_the_two_holders(self, snoop_calls, technique):
+        sys = make_system(tiny_config(technique))
+        sys.l2s[1].access(0x100, 0, False)
+        sys.l2s[2].access(0x100, 50, False)
+        del snoop_calls[:]
+        sys.l2s[0].access(0x100, 100, False)
+        assert snoop_calls == [1, 2]
+        assert state_of(sys.l2s[0], 0x100) == S
+        assert [l2.stats.snoops_observed for l2 in sys.l2s] == [0, 2, 1, 0]
+        assert sys.bus.stats.count(BUS_RD) == sys.bus.stats.transactions == 3
+
+    def test_upgrade_snoops_only_the_sharer(self, snoop_calls, technique):
+        sys = make_system(tiny_config(technique))
+        sys.l2s[0].access(0x100, 0, False)
+        sys.l2s[3].access(0x100, 50, False)  # both S
+        del snoop_calls[:]
+        sys.l2s[0].access(0x100, 100, True)
+        assert snoop_calls == [3]
+        assert state_of(sys.l2s[0], 0x100) == M
+        assert state_of(sys.l2s[3], 0x100) is None
+        assert sys.bus.stats.count(BUS_UPGR) == 1
+        assert sys.l2s[3].stats.snoop_invalidations == 1

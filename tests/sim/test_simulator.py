@@ -60,7 +60,7 @@ class TestBasicRun:
         res = sim.run(uniform_wl)
         for l1 in sim.system.l1s:
             assert l1.next_drain_time() == -1
-            assert l1.consume_drain_event() is None
+            assert not l1.drain_dirty
         drains = sum(l1.write_buffer.stats.drains for l1 in sim.system.l1s)
         inserts = sum(l1.write_buffer.stats.inserts for l1 in sim.system.l1s)
         coalesced = sum(
