@@ -117,9 +117,13 @@ def read_task_file(queue_dir: str) -> dict:
             f"{path}: task file targets cache v{payload.get('cache_version')}"
             f", this build writes v{CACHE_VERSION}"
         )
-    payload["points"] = [
-        SweepPoint.from_dict(entry) for entry in payload["points"]
-    ]
+    points = payload.get("points")
+    if not isinstance(points, list):
+        raise ValueError(f"{path}: a task file's points are a JSON list")
+    try:
+        payload["points"] = [SweepPoint.from_dict(entry) for entry in points]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad point in task file ({exc})") from None
     return payload
 
 

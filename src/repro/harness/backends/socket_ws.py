@@ -90,6 +90,10 @@ WAIT_CAP = 2.0
 #: how many consecutive connect failures a worker tolerates
 DEFAULT_CONNECT_ATTEMPTS = 8
 
+#: how often the coordinator's accept loop checks for shutdown, seconds
+#: (``server.shutdown()`` at the end of a sweep waits up to this long)
+SERVE_POLL_SECONDS = 0.05
+
 #: sentinel for a line that arrived but did not decode (≠ EOF)
 _MALFORMED = object()
 
@@ -592,7 +596,9 @@ class SocketWorkStealingBackend:
         # portable
         connect_host = "127.0.0.1" if host in ("0.0.0.0", "::") else host
         serve_thread = threading.Thread(
-            target=server.serve_forever, daemon=True
+            target=server.serve_forever,
+            kwargs={"poll_interval": SERVE_POLL_SECONDS},
+            daemon=True,
         )
         serve_thread.start()
         procs: List[multiprocessing.Process] = []

@@ -10,7 +10,7 @@ from which regions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 #: Regions are aligned to this many bytes (≥ any cache line in use).
 REGION_ALIGN = 4096
@@ -43,11 +43,19 @@ class Region:
         """True when ``byte_addr`` falls inside the region."""
         return self.base <= byte_addr < self.end
 
-    def slice(self, k: int, n: int) -> "Region":
-        """The ``k``-th of ``n`` equal, aligned sub-regions (chunking)."""
+    def slice(self, k: int, n: int, line_bytes: Optional[int] = None) -> "Region":
+        """The ``k``-th of ``n`` equal, aligned sub-regions (chunking).
+
+        Slices are :data:`REGION_ALIGN`-aligned.  A region too small for
+        ``n`` such slices is cut at ``line_bytes`` granularity instead,
+        when given (e.g. a 16 KB region shared by 8 cores).
+        """
         if not 0 <= k < n:
             raise ValueError(f"slice {k} of {n} out of range")
-        step = (self.size // n) // REGION_ALIGN * REGION_ALIGN
+        share = self.size // n
+        step = share // REGION_ALIGN * REGION_ALIGN
+        if step == 0 and line_bytes:
+            step = share // line_bytes * line_bytes
         if step == 0:
             raise ValueError(f"region {self.name} too small to slice {n} ways")
         base = self.base + k * step

@@ -18,13 +18,18 @@ last seen a chosen time ago, which is the knob that positions reuse-
 interval mass relative to the decay times.
 
 All randomness is drawn from per-component ``numpy`` generators with
-derived seeds and is pre-generated in blocks to keep the per-access Python
-cost low (hpc-parallel guide: vectorize the hot path where possible).
+derived seeds and is pre-generated in blocks of :data:`_BLOCK` draws.
+Each block is turned into Python values once (``tolist``) and consumed
+through an iterator, so a per-access draw is one ``next()`` call, never a
+numpy scalar read.  Block sizes and the order of draws on each
+component's generator define the records; how the drawn values are held
+does not.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from itertools import repeat
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -33,25 +38,28 @@ from .trace import ILP_DEPENDENT, ILP_MODERATE, ILP_STREAMING
 
 _BLOCK = 4096  # pre-generation block size
 
+#: addresses computed in numpy int64 must stay below this bound
+_INT64_END = 1 << 63
+
 
 class _Blocked:
     """Shared helper: block-cached random draws."""
 
     def __init__(self, seed: int) -> None:
         self.rng = np.random.default_rng(seed)
-        self._wcur = _BLOCK
-        self._wblk: Optional[np.ndarray] = None
+        self._wflags: Iterator[bool] = iter(())
         self._wfrac = -1.0
 
     def _write_flag(self, write_frac: float) -> bool:
-        """Cheap Bernoulli(write_frac) draw."""
-        if self._wcur >= _BLOCK or self._wfrac != write_frac:
-            self._wblk = self.rng.random(_BLOCK) < write_frac
-            self._wcur = 0
-            self._wfrac = write_frac
-        v = self._wblk[self._wcur]
-        self._wcur += 1
-        return bool(v)
+        """Cheap Bernoulli(write_frac) draw (a new block on a new fraction)."""
+        if write_frac == self._wfrac:
+            try:
+                return next(self._wflags)
+            except StopIteration:
+                pass
+        self._wflags = iter((self.rng.random(_BLOCK) < write_frac).tolist())
+        self._wfrac = write_frac
+        return next(self._wflags)
 
 
 class ColdStream(_Blocked):
@@ -133,24 +141,33 @@ class HotSet(_Blocked):
             self._p = p / p.sum()
         else:
             self._p = None
-        self._icur = _BLOCK
-        self._iblk: Optional[np.ndarray] = None
+        self._accesses: Iterator[tuple] = iter(())
 
-    def _index(self) -> int:
-        if self._icur >= _BLOCK:
-            if self._p is None:
-                self._iblk = self.rng.integers(0, self.hot_lines, _BLOCK)
-            else:
-                self._iblk = self.rng.choice(self.hot_lines, _BLOCK, p=self._p)
-            self._icur = 0
-        v = self._iblk[self._icur]
-        self._icur += 1
-        return int(v)
+    def _refill(self) -> Iterator[tuple]:
+        """The next block of accesses: a line-index block, then a write block.
+
+        Every emit takes one draw of each, so both blocks always run out
+        together and are drawn in this order, index block first.
+        """
+        if self._p is None:
+            idx = self.rng.integers(0, self.hot_lines, _BLOCK)
+        else:
+            idx = self.rng.choice(self.hot_lines, _BLOCK, p=self._p)
+        writes = (self.rng.random(_BLOCK) < self.write_frac).tolist()
+        base, line = self.region.base, self.line_bytes
+        if self.region.end <= _INT64_END:
+            addrs = (idx * line + base).tolist()
+        else:
+            addrs = [base + i * line for i in idx.tolist()]
+        return zip(addrs, writes, repeat(self.ilp))
 
     def emit(self, history: List[int]) -> tuple:
         """One access to a (possibly Zipf-weighted) hot line."""
-        addr = self.region.base + self._index() * self.line_bytes
-        return (addr, self._write_flag(self.write_frac), self.ilp)
+        try:
+            return next(self._accesses)
+        except StopIteration:
+            self._accesses = self._refill()
+            return next(self._accesses)
 
 
 class LaggedRevisit(_Blocked):
@@ -187,18 +204,17 @@ class LaggedRevisit(_Blocked):
         self.write_frac = write_frac
         self.ilp = ilp
         self.fallback = fallback
-        self._jcur = _BLOCK
-        self._jblk: Optional[np.ndarray] = None
+        self._lags: Iterator[int] = iter(())
 
     def _lag_sample(self) -> int:
         if not self.jitter:
             return self.lag
-        if self._jcur >= _BLOCK:
-            self._jblk = self.rng.integers(-self.jitter, self.jitter + 1, _BLOCK)
-            self._jcur = 0
-        v = self._jblk[self._jcur]
-        self._jcur += 1
-        return self.lag + int(v)
+        try:
+            return next(self._lags)
+        except StopIteration:
+            jitter = self.rng.integers(-self.jitter, self.jitter + 1, _BLOCK)
+            self._lags = iter((self.lag + jitter).tolist())
+            return next(self._lags)
 
     def emit(self, history: List[int]) -> tuple:
         """Re-touch the address emitted ``lag`` accesses ago (or the fallback)."""
@@ -251,18 +267,17 @@ class TrailingRevisit(_Blocked):
         self.write_frac = write_frac
         self.ilp = ilp
         self.fallback = fallback
-        self._jcur = _BLOCK
-        self._jblk: Optional[np.ndarray] = None
+        self._lags: Iterator[int] = iter(())
 
     def _lag_sample(self) -> int:
         if not self.jitter:
             return self.lag
-        if self._jcur >= _BLOCK:
-            self._jblk = self.rng.integers(-self.jitter, self.jitter + 1, _BLOCK)
-            self._jcur = 0
-        v = self._jblk[self._jcur]
-        self._jcur += 1
-        return max(1, self.lag + int(v))
+        try:
+            return next(self._lags)
+        except StopIteration:
+            jitter = self.rng.integers(-self.jitter, self.jitter + 1, _BLOCK)
+            self._lags = iter(np.maximum(self.lag + jitter, 1).tolist())
+            return next(self._lags)
 
     def emit(self, history: List[int]) -> tuple:
         """Revisit a line the tracked cold stream touched ``lag`` steps ago."""
@@ -342,16 +357,14 @@ class MigratoryChunk(_Blocked):
         self.ilp = ilp
         self._phase_read = True
         self._pos = 0
-        self._icur = _BLOCK
-        self._iblk: Optional[np.ndarray] = None
+        self._indices: Iterator[int] = iter(())
 
     def _index(self) -> int:
-        if self._icur >= _BLOCK:
-            self._iblk = self.rng.integers(0, self.n_lines, _BLOCK)
-            self._icur = 0
-        v = self._iblk[self._icur]
-        self._icur += 1
-        return int(v)
+        try:
+            return next(self._indices)
+        except StopIteration:
+            self._indices = iter(self.rng.integers(0, self.n_lines, _BLOCK).tolist())
+            return next(self._indices)
 
     def emit(self, history: List[int]) -> tuple:
         """One access of the read-modify-write (or plain) chunk pattern."""
@@ -432,14 +445,14 @@ class PointerChase(_Blocked):
         nxt = np.empty(self.n_nodes, dtype=np.int64)
         nxt[perm[:-1]] = perm[1:]
         nxt[perm[-1]] = perm[0]
-        self._next = nxt
+        self._next = nxt.tolist()
         self._cur = int(perm[0])
         self.write_frac = write_frac
 
     def emit(self, history: List[int]) -> tuple:
         """Follow one pointer hop (dependent load)."""
         addr = self.region.base + self._cur * self.line_bytes
-        self._cur = int(self._next[self._cur])
+        self._cur = self._next[self._cur]
         return (addr, self._write_flag(self.write_frac), ILP_DEPENDENT)
 
 

@@ -7,8 +7,10 @@ time steps).  Compute gaps between memory operations are geometric with a
 configurable mean, giving a realistic exponential-ish inter-access time
 distribution.
 
-The per-access loop is the generator hot path; component choices, gaps and
-write flags are drawn in pre-generated numpy blocks.
+The per-access loop is the generator hot path.  Component choices and gaps
+are drawn in numpy blocks and turned into Python lists once per block;
+the loop then calls each chosen component's pre-bound ``emit`` and yields
+the block's records in one ``zip``.
 """
 
 from __future__ import annotations
@@ -68,10 +70,12 @@ def phase_stream(
 ) -> Iterator[Record]:
     """Generate the record stream of one core across its phases."""
     rng = np.random.default_rng(seed)
+    # every address, in order: LaggedRevisit components read it
     history: List[int] = []
+    remember = history.append
     flags_tab = _FLAGS
     for pi, phase in enumerate(phases):
-        comps = list(phase.components)
+        emits = [comp.emit for comp in phase.components]
         w = np.asarray(phase.weights, dtype=np.float64)
         cumw = np.cumsum(w / w.sum())
         p_gap = 1.0 / (phase.mean_gap + 1.0)
@@ -79,13 +83,16 @@ def phase_stream(
         while remaining > 0:
             n = min(_BLOCK, remaining)
             remaining -= n
-            choices = np.searchsorted(cumw, rng.random(n))
-            gaps = rng.geometric(p_gap, n) - 1
-            for k in range(n):
-                comp = comps[choices[k]]
-                addr, is_write, ilp = comp.emit(history)
-                history.append(addr)
-                yield (int(gaps[k]), addr, flags_tab[ilp][1 if is_write else 0])
+            choices = np.searchsorted(cumw, rng.random(n)).tolist()
+            gaps = (rng.geometric(p_gap, n) - 1).tolist()
+            start = len(history)
+            flags: List[int] = []
+            add_flags = flags.append
+            for choice in choices:
+                addr, is_write, ilp = emits[choice](history)
+                remember(addr)
+                add_flags(flags_tab[ilp][1 if is_write else 0])
+            yield from zip(gaps, history[start:], flags)
         if barrier_between and pi < len(phases) - 1:
             yield barrier_record()
 

@@ -280,7 +280,7 @@ def build_profile_workload(
                 s = s0 + 2000 + p * 61
                 region = shared_regions[cs.region]
                 if cs.kind == "migratory":
-                    chunk = region.slice((cid + p) % n_cores, n_cores)
+                    chunk = region.slice((cid + p) % n_cores, n_cores, line_bytes)
                     comps.append(
                         MigratoryChunk(chunk, line_bytes, s, rmw=True, ilp=ILP[cs.ilp])
                     )

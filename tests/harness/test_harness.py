@@ -1,5 +1,6 @@
 """Harness: metrics, sweep runner caching, figure rendering, CLI."""
 
+import json
 import os
 import socket
 import subprocess
@@ -7,11 +8,12 @@ import sys
 
 import pytest
 
+from repro.harness.backends.batch import TASK_FORMAT
 from repro.harness.cli import main as cli_main
 from repro.harness.executor import ParallelSweepRunner
 from repro.harness.figures import FigureTable, run_experiment, table1
 from repro.harness.metrics import PointMetrics
-from repro.harness.runner import SweepRunner
+from repro.harness.runner import CACHE_VERSION, SweepRunner
 from tests.conftest import seed_cache
 
 SCALE = 0.04
@@ -209,10 +211,30 @@ class TestCLI:
 
     @pytest.mark.parametrize(
         "payload",
-        ['{"format": 1, "specs": [["uniform", 1, "protocol"]]}', "not json", "[]"],
-        ids=["format_1", "not_json", "not_an_object"],
+        [
+            '{"format": 1, "specs": [["uniform", 1, "protocol"]]}',
+            "not json",
+            "[]",
+            {},
+            {"points": 5},
+            {"points": None},
+            {"points": [5]},
+        ],
+        ids=[
+            "format_1",
+            "not_json",
+            "not_an_object",
+            "no_points",
+            "points_not_a_list",
+            "points_null",
+            "bad_point",
+        ],
     )
     def test_work_reports_a_bad_task_file(self, tmp_path, capsys, payload):
+        if isinstance(payload, dict):
+            # this build's header, so only the points are wrong
+            header = {"format": TASK_FORMAT, "cache_version": CACHE_VERSION}
+            payload = json.dumps({**header, **payload})
         (tmp_path / "tasks.json").write_text(payload)
         assert cli_main(["work", "--queue-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err

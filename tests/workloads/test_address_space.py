@@ -75,3 +75,24 @@ class TestRegion:
         r = Region("r", 0, REGION_ALIGN, True)
         with pytest.raises(ValueError):
             r.slice(0, 4)
+
+    def test_small_region_slices_per_line(self):
+        # water_ns's 16 KB migratory buffer shared by 8 cores
+        r = Region("r", 0, 4 * REGION_ALIGN, True)
+        parts = [r.slice(k, 8, 64) for k in range(8)]
+        assert [p.size for p in parts] == [2048] * 8
+        assert parts[0].base == r.base
+        assert parts[-1].end == r.end
+        for a, b in zip(parts, parts[1:]):
+            assert a.end == b.base
+
+    def test_aligned_slices_ignore_line_bytes(self):
+        r = Region("r", 0, 16 * REGION_ALIGN + 64, True)
+        assert [r.slice(k, 4, 64) for k in range(4)] == [
+            r.slice(k, 4) for k in range(4)
+        ]
+
+    def test_slice_too_small_per_line(self):
+        r = Region("r", 0, REGION_ALIGN, True)
+        with pytest.raises(ValueError):
+            r.slice(0, 128, 64)
