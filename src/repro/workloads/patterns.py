@@ -38,9 +38,6 @@ from .trace import ILP_DEPENDENT, ILP_MODERATE, ILP_STREAMING
 
 _BLOCK = 4096  # pre-generation block size
 
-#: addresses computed in numpy int64 must stay below this bound
-_INT64_END = 1 << 63
-
 
 class _Blocked:
     """Shared helper: block-cached random draws."""
@@ -50,6 +47,10 @@ class _Blocked:
         self._wflags: Iterator[bool] = iter(())
         self._wfrac = -1.0
 
+    def _write_block(self, write_frac: float) -> List[bool]:
+        """The next block of Bernoulli(write_frac) write flags."""
+        return (self.rng.random(_BLOCK) < write_frac).tolist()
+
     def _write_flag(self, write_frac: float) -> bool:
         """Cheap Bernoulli(write_frac) draw (a new block on a new fraction)."""
         if write_frac == self._wfrac:
@@ -57,7 +58,7 @@ class _Blocked:
                 return next(self._wflags)
             except StopIteration:
                 pass
-        self._wflags = iter((self.rng.random(_BLOCK) < write_frac).tolist())
+        self._wflags = iter(self._write_block(write_frac))
         self._wfrac = write_frac
         return next(self._wflags)
 
@@ -153,12 +154,9 @@ class HotSet(_Blocked):
             idx = self.rng.integers(0, self.hot_lines, _BLOCK)
         else:
             idx = self.rng.choice(self.hot_lines, _BLOCK, p=self._p)
-        writes = (self.rng.random(_BLOCK) < self.write_frac).tolist()
+        writes = self._write_block(self.write_frac)
         base, line = self.region.base, self.line_bytes
-        if self.region.end <= _INT64_END:
-            addrs = (idx * line + base).tolist()
-        else:
-            addrs = [base + i * line for i in idx.tolist()]
+        addrs = [base + i * line for i in idx.tolist()]
         return zip(addrs, writes, repeat(self.ilp))
 
     def emit(self, history: List[int]) -> tuple:
